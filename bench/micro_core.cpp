@@ -6,13 +6,13 @@
 //
 // With --json-out the binary instead runs the kernel A/B harness
 // (DESIGN.md §5/§5c): the fig08 paper-scale cell replayed through the
-// legacy (price_cache = false), scalar (cached, SIMD off), and simd
-// (cached, runtime-dispatched kernel) find arms, and through the uncached /
-// cached / cached+parallel / cached+batched decision arms (the last one
-// drives Pdftsp::on_slot with epoch-batched admission), cross-checked
-// bit-identical via an outcome fingerprint, measuring decisions/sec and
-// steady-state allocations per ScheduleDp::find via the global operator
-// new hook below. Emits BENCH_core.json (CI artifact):
+// legacy (the per-call reference DP, audit::reference_find), scalar
+// (cached, SIMD off), and simd (cached, runtime-dispatched kernel) find
+// arms, cross-checked bit-identical via a plan fingerprint, with
+// steady-state allocations per ScheduleDp::find counted via the global
+// operator new hook below; then the full Alg. 1 decision loop, measuring
+// decisions/sec and the price-cache hit rate. Emits BENCH_core.json (CI
+// artifact):
 //
 //   ./micro_core --json-out BENCH_core.json
 #include <benchmark/benchmark.h>
@@ -21,7 +21,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <new>
@@ -29,6 +28,7 @@
 #include <string>
 #include <string_view>
 
+#include "lorasched/audit/oracle.h"
 #include "lorasched/core/pdftsp.h"
 #include "lorasched/experiments/runner.h"
 #include "lorasched/obs/json.h"
@@ -183,32 +183,13 @@ BENCHMARK(BM_SpanCost)->Arg(0)->Arg(1);
 
 // --- Price-cache A/B harness (--json-out) -----------------------------------
 
-/// FNV-1a over the replay's decisions: admit bit, payment bits, and every
-/// (node, slot) of the admitted run. Any divergence between arms — placement,
-/// pricing, or admission — changes the digest.
+/// FNV-1a over the find arms' per-bid plans (feasibility and every
+/// (node, slot)): any divergence between arms changes the digest.
 struct Fingerprint {
   std::uint64_t hash = 1469598103934665603ull;
   void mix(std::uint64_t value) {
     hash ^= value;
     hash *= 1099511628211ull;
-  }
-  void mix_double(double value) {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(value));
-    std::memcpy(&bits, &value, sizeof(bits));
-    mix(bits);
-  }
-  void mix_decision(const Decision& d) {
-    mix(static_cast<std::uint64_t>(d.task));
-    mix(d.admit ? 1 : 0);
-    mix_double(d.payment);
-    if (d.admit) {
-      mix(static_cast<std::uint64_t>(d.schedule.vendor) + 7);
-      for (const Assignment& a : d.schedule.run) {
-        mix(static_cast<std::uint64_t>(a.node));
-        mix(static_cast<std::uint64_t>(a.slot));
-      }
-    }
   }
 };
 
@@ -233,25 +214,33 @@ struct FindArm {
 };
 
 /// Kernel-level A/B: replay the instance's bids through bare
-/// ScheduleDp::find under moving duals (an eq. 7/8 update every
-/// `admit_every`-th feasible plan, mimicking pdFTSP's admission cadence),
-/// with one warmup lap to grow the arena before allocations are counted.
-FindArm run_find_arm(const Instance& instance, bool price_cache, bool simd,
+/// ScheduleDp::find — or, with `reference`, the per-call reference DP —
+/// under moving duals (an eq. 7/8 update every `admit_every`-th feasible
+/// plan, mimicking pdFTSP's admission cadence), with one warmup lap to grow
+/// the arena before allocations are counted.
+FindArm run_find_arm(const Instance& instance, bool reference, bool simd,
                      std::string label, std::size_t max_bids,
                      int admit_every) {
   FindArm arm;
   arm.label = std::move(label);
   ScheduleDpConfig config;
-  config.price_cache = price_cache;
   config.simd = simd;
   const ScheduleDp dp(instance.cluster, instance.energy, config);
   arm.kernel = simd::kernel_name(dp.kernel());
   DpScratch scratch;
   Schedule plan;
   Fingerprint digest;
+  DualState duals(instance.cluster.node_count(), instance.horizon);
+  auto find = [&](const Task& task) {
+    if (reference) {
+      plan = audit::reference_find(task, task.arrival, duals,
+                                   instance.cluster, instance.energy, config);
+    } else {
+      dp.find_into(plan, task, task.arrival, duals, scratch);
+    }
+  };
 
   const std::size_t bids = std::min(max_bids, instance.tasks.size());
-  DualState duals(instance.cluster.node_count(), instance.horizon);
   for (int lap = 0; lap < 2; ++lap) {
     const bool measured = lap == 1;
     duals = DualState(instance.cluster.node_count(), instance.horizon);
@@ -259,12 +248,18 @@ FindArm run_find_arm(const Instance& instance, bool price_cache, bool simd,
     const auto started = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < bids; ++i) {
       const Task& task = instance.tasks[i];
-      dp.find_into(plan, task, task.arrival, duals, scratch);
+      find(task);
       if (!plan.empty() && ++feasible % admit_every == 0) {
         finalize_schedule(plan, task, instance.cluster, instance.energy);
         duals.apply_update(task, plan, instance.cluster, 1.0, 1.0, 1.0);
       }
-      if (measured) digest.mix(plan.empty() ? 0 : 1);
+      if (measured) {
+        digest.mix(plan.empty() ? 0 : 1);
+        for (const Assignment& a : plan.run) {
+          digest.mix(static_cast<std::uint64_t>(a.node));
+          digest.mix(static_cast<std::uint64_t>(a.slot));
+        }
+      }
     }
     const auto stopped = std::chrono::steady_clock::now();
     if (measured) {
@@ -278,15 +273,11 @@ FindArm run_find_arm(const Instance& instance, bool price_cache, bool simd,
   // This is the "0 allocations per find" claim the cached path makes.
   const std::size_t steady = std::min<std::size_t>(512, bids);
   for (std::size_t i = 0; i < steady; ++i) {  // warm the arena once more
-    const Task& task = instance.tasks[i];
-    dp.find_into(plan, task, task.arrival, duals, scratch);
+    find(instance.tasks[i]);
   }
   const std::uint64_t allocs_before =
       g_alloc_count.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < steady; ++i) {
-    const Task& task = instance.tasks[i];
-    dp.find_into(plan, task, task.arrival, duals, scratch);
-  }
+  for (std::size_t i = 0; i < steady; ++i) find(instance.tasks[i]);
   arm.steady_calls = steady;
   arm.steady_allocs =
       g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
@@ -301,7 +292,6 @@ struct DecisionArm {
   double welfare = 0.0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  std::uint64_t fingerprint = 0;
 
   [[nodiscard]] double decisions_per_sec() const {
     return wall_seconds > 0.0
@@ -314,21 +304,14 @@ struct DecisionArm {
   }
 };
 
-/// Decision-level A/B: full Alg. 1 replay (vendor loop + DP + pricing +
+/// Decision level: full Alg. 1 replay (vendor loop + DP + pricing +
 /// booking) of every bid, driven through Pdftsp::on_slot slot-by-slot
-/// exactly as the simulation engine does — so the `admission_batch` knob
-/// (epoch-batched admission) is exercised by the same harness and pinned
-/// bit-identical against the one-at-a-time arms.
-DecisionArm run_decision_arm(const Instance& instance, bool price_cache,
-                             int parallel_candidates, int admission_batch,
-                             std::string label) {
+/// exactly as the simulation engine does.
+DecisionArm run_decision_arm(const Instance& instance, std::string label) {
   DecisionArm arm;
   arm.label = std::move(label);
-  PdftspConfig config = pdftsp_config_for(instance);
-  config.dp.price_cache = price_cache;
-  config.parallel_candidates = parallel_candidates;
-  config.admission_batch = admission_batch;
-  Pdftsp policy(config, instance.cluster, instance.energy, instance.horizon);
+  Pdftsp policy(pdftsp_config_for(instance), instance.cluster,
+                instance.energy, instance.horizon);
   CapacityLedger ledger(instance.cluster, instance.horizon);
   for (const Outage& outage : instance.outages) {
     for (Slot t = std::max<Slot>(0, outage.from);
@@ -336,7 +319,6 @@ DecisionArm run_decision_arm(const Instance& instance, bool price_cache,
       ledger.block(outage.node, t);
     }
   }
-  Fingerprint digest;
   std::vector<Task> arrivals;
   const auto started = std::chrono::steady_clock::now();
   std::size_t next = 0;
@@ -359,7 +341,6 @@ DecisionArm run_decision_arm(const Instance& instance, bool price_cache,
         ++arm.admitted;
         arm.welfare += d.schedule.welfare_gain;
       }
-      digest.mix_decision(d);
     }
   }
   const auto stopped = std::chrono::steady_clock::now();
@@ -367,7 +348,6 @@ DecisionArm run_decision_arm(const Instance& instance, bool price_cache,
   arm.wall_seconds = std::chrono::duration<double>(stopped - started).count();
   arm.cache_hits = policy.dp_cache_stats().hits;
   arm.cache_misses = policy.dp_cache_stats().misses;
-  arm.fingerprint = digest.hash;
   return arm;
 }
 
@@ -390,16 +370,17 @@ int run_cache_ab(const util::Cli& cli) {
             << "\n";
 
   // Kernel level: bare ScheduleDp::find, admission-paced dual movement.
-  // Three arms — legacy (per-call path), scalar (cached, SIMD off), simd
-  // (cached, runtime-dispatched kernel); on hardware without a vector arm
-  // the simd arm degrades to scalar and reports kernel "scalar".
+  // Three arms — legacy (the per-call reference DP, the speedup
+  // denominator), scalar (cached, SIMD off), simd (cached,
+  // runtime-dispatched kernel); on hardware without a vector arm the simd
+  // arm degrades to scalar and reports kernel "scalar".
   std::vector<FindArm> finds;
   finds.push_back(
-      run_find_arm(instance, false, false, "find-legacy", find_bids, 16));
+      run_find_arm(instance, true, false, "find-legacy", find_bids, 16));
   finds.push_back(
-      run_find_arm(instance, true, false, "find-scalar", find_bids, 16));
+      run_find_arm(instance, false, false, "find-scalar", find_bids, 16));
   finds.push_back(
-      run_find_arm(instance, true, true, "find-simd", find_bids, 16));
+      run_find_arm(instance, false, true, "find-simd", find_bids, 16));
   const FindArm& find_base = finds.front();
   std::cout << "  arm            kernel   finds/s   speedup  allocs/find "
                "(steady)\n";
@@ -411,39 +392,20 @@ int run_cache_ab(const util::Cli& cli) {
                     : 0.0,
                 arm.allocs_per_find());
     if (arm.fingerprint != find_base.fingerprint) {
-      std::cerr << "error: find-level feasibility fingerprint diverged for "
+      std::cerr << "error: find-level plan fingerprint diverged for "
                 << arm.label << "\n";
       return 1;
     }
   }
 
-  // Decision level: full Alg. 1 replay through on_slot. The batched arm
-  // exercises epoch-batched admission (PdftspConfig::admission_batch) and
-  // must stay fingerprint-identical to the one-at-a-time arms.
-  std::vector<DecisionArm> decisions;
-  decisions.push_back(run_decision_arm(instance, false, 0, 0, "uncached"));
-  decisions.push_back(run_decision_arm(instance, true, 0, 0, "cached"));
-  decisions.push_back(
-      run_decision_arm(instance, true, 4, 0, "cached+parallel"));
-  decisions.push_back(
-      run_decision_arm(instance, true, 0, 32, "cached+batch32"));
-  const DecisionArm& base = decisions.front();
-  std::cout << "  arm              decisions/s  speedup  admitted    welfare  "
+  // Decision level: full Alg. 1 replay through on_slot.
+  const DecisionArm decision = run_decision_arm(instance, "cached");
+  std::cout << "  arm              decisions/s  admitted    welfare  "
                "hit-rate\n";
-  for (const DecisionArm& arm : decisions) {
-    std::printf("  %-16s %11.0f %8.2fx %9llu %10.1f %9.3f\n",
-                arm.label.c_str(), arm.decisions_per_sec(),
-                base.decisions_per_sec() > 0.0
-                    ? arm.decisions_per_sec() / base.decisions_per_sec()
-                    : 0.0,
-                static_cast<unsigned long long>(arm.admitted), arm.welfare,
-                arm.hit_rate());
-    if (arm.fingerprint != base.fingerprint) {
-      std::cerr << "error: decisions diverged between arms (" << arm.label
-                << " vs " << base.label << ") — the cache is not bit-exact\n";
-      return 1;
-    }
-  }
+  std::printf("  %-16s %11.0f %9llu %10.1f %9.3f\n", decision.label.c_str(),
+              decision.decisions_per_sec(),
+              static_cast<unsigned long long>(decision.admitted),
+              decision.welfare, decision.hit_rate());
 
   if (cli.has("json-out")) {
     obs::Json::Object doc;
@@ -474,26 +436,19 @@ int run_cache_ab(const util::Cli& cli) {
     }
     doc["find"] = obs::Json(std::move(find_rows));
 
+    obs::Json::Object row;
+    row["label"] = obs::Json(decision.label);
+    row["decisions"] = obs::Json(static_cast<double>(decision.decisions));
+    row["wall_seconds"] = obs::Json(decision.wall_seconds);
+    row["decisions_per_sec"] = obs::Json(decision.decisions_per_sec());
+    row["admitted"] = obs::Json(static_cast<double>(decision.admitted));
+    row["welfare"] = obs::Json(decision.welfare);
+    row["cache_hits"] = obs::Json(static_cast<double>(decision.cache_hits));
+    row["cache_misses"] =
+        obs::Json(static_cast<double>(decision.cache_misses));
+    row["cache_hit_rate"] = obs::Json(decision.hit_rate());
     obs::Json::Array decision_rows;
-    for (const DecisionArm& arm : decisions) {
-      obs::Json::Object row;
-      row["label"] = obs::Json(arm.label);
-      row["decisions"] = obs::Json(static_cast<double>(arm.decisions));
-      row["wall_seconds"] = obs::Json(arm.wall_seconds);
-      row["decisions_per_sec"] = obs::Json(arm.decisions_per_sec());
-      row["speedup_vs_uncached"] =
-          obs::Json(base.decisions_per_sec() > 0.0
-                        ? arm.decisions_per_sec() / base.decisions_per_sec()
-                        : 0.0);
-      row["admitted"] = obs::Json(static_cast<double>(arm.admitted));
-      row["welfare"] = obs::Json(arm.welfare);
-      row["cache_hits"] = obs::Json(static_cast<double>(arm.cache_hits));
-      row["cache_misses"] = obs::Json(static_cast<double>(arm.cache_misses));
-      row["cache_hit_rate"] = obs::Json(arm.hit_rate());
-      row["decisions_identical_to_uncached"] =
-          obs::Json(arm.fingerprint == base.fingerprint);
-      decision_rows.push_back(obs::Json(std::move(row)));
-    }
+    decision_rows.push_back(obs::Json(std::move(row)));
     doc["decision"] = obs::Json(std::move(decision_rows));
 
     std::ofstream out(cli.get("json-out", ""));

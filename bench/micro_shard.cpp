@@ -49,7 +49,6 @@ namespace {
 struct RunResult {
   std::string label;
   int shards = 0;  // 0 = monolithic
-  int batch = 1;   // PdftspConfig::admission_batch (1 = one-at-a-time)
   std::uint64_t decided = 0;
   double wall_seconds = 0.0;
   double critical_seconds = 0.0;
@@ -96,11 +95,9 @@ void replay(Service& server, const Instance& instance) {
   while (!server.done()) server.step();
 }
 
-RunResult run_monolithic(const Instance& instance, int admission_batch) {
-  PdftspConfig policy_config = pdftsp_config_for(instance);
-  policy_config.admission_batch = admission_batch;
-  Pdftsp policy(policy_config, instance.cluster, instance.energy,
-                instance.horizon);
+RunResult run_monolithic(const Instance& instance) {
+  Pdftsp policy(pdftsp_config_for(instance), instance.cluster,
+                instance.energy, instance.horizon);
   service::ServiceConfig config;
   config.queue_capacity = instance.tasks.size() + 1;
   service::AdmissionService server(instance, policy, config);
@@ -114,10 +111,7 @@ RunResult run_monolithic(const Instance& instance, int admission_batch) {
   const auto ops = server.metrics();
   const SimResult result = server.finish();
   RunResult run;
-  run.label = admission_batch > 1
-                  ? "monolithic-b" + std::to_string(admission_batch)
-                  : "monolithic";
-  run.batch = admission_batch > 1 ? admission_batch : 1;
+  run.label = "monolithic";
   run.decided = ops.bids_decided;
   run.wall_seconds = wall_seconds;
   run.critical_seconds = probe.total();
@@ -129,16 +123,14 @@ RunResult run_monolithic(const Instance& instance, int admission_batch) {
   return run;
 }
 
-RunResult run_sharded(const Instance& instance, int shards, int reroute,
-                      int admission_batch) {
+RunResult run_sharded(const Instance& instance, int shards, int reroute) {
   shard::ShardedConfig config;
   config.shards = shards;
   config.reroute_attempts = reroute;
   config.queue_capacity = instance.tasks.size() + 1;
-  PdftspConfig policy_config = pdftsp_config_for(instance);
-  policy_config.admission_batch = admission_batch;
   shard::ShardedService server(
-      instance, shard::make_pdftsp_factory(policy_config), config);
+      instance, shard::make_pdftsp_factory(pdftsp_config_for(instance)),
+      config);
 
   const util::Stopwatch wall;
   replay(server, instance);
@@ -147,9 +139,7 @@ RunResult run_sharded(const Instance& instance, int shards, int reroute,
   const auto ops = server.metrics();
   RunResult run;
   run.label = "K=" + std::to_string(shards);
-  if (admission_batch > 1) run.label += "-b" + std::to_string(admission_batch);
   run.shards = shards;
-  run.batch = admission_batch > 1 ? admission_batch : 1;
   run.decided = ops.bids_decided;
   run.wall_seconds = wall_seconds;
   run.critical_seconds = server.critical_path_seconds();
@@ -184,25 +174,13 @@ int main(int argc, char** argv) try {
   const int reroute = static_cast<int>(cli.get_int("reroute", 1));
   const Instance instance = make_instance(config);
 
-  // Epoch-batch sweep (PdftspConfig::admission_batch ∈ {1, 8, 32}) on the
-  // monolithic service, then the shard-count sweep at batch 1, then the
-  // widest shard fan-out with batching — decisions are bit-identical across
-  // batch sizes (the trace-equality tests pin this), so the sweep isolates
-  // the pure throughput effect of deciding bids per price epoch.
+  // The monolithic baseline, then the shard-count sweep.
   std::vector<RunResult> runs;
-  runs.push_back(run_monolithic(instance, 1));
+  runs.push_back(run_monolithic(instance));
   const RunResult mono = runs.front();  // copy: push_back reallocates
-  runs.push_back(run_monolithic(instance, 8));
-  runs.push_back(run_monolithic(instance, 32));
-  int k_max = 0;
   for (const int k : {1, 2, 4, 8}) {
     if (k > config.nodes) break;
-    runs.push_back(run_sharded(instance, k, reroute, 1));
-    k_max = k;
-  }
-  if (k_max > 0) {
-    runs.push_back(run_sharded(instance, k_max, reroute, 8));
-    runs.push_back(run_sharded(instance, k_max, reroute, 32));
+    runs.push_back(run_sharded(instance, k, reroute));
   }
 
   std::cout << "micro_shard: " << instance.tasks.size() << " bids, "
@@ -241,7 +219,6 @@ int main(int argc, char** argv) try {
       obs::Json::Object row;
       row["label"] = obs::Json(run.label);
       row["shards"] = obs::Json(static_cast<double>(run.shards));
-      row["admission_batch"] = obs::Json(static_cast<double>(run.batch));
       row["decided"] = obs::Json(static_cast<double>(run.decided));
       row["wall_seconds"] = obs::Json(run.wall_seconds);
       row["wall_throughput_bids_per_sec"] = obs::Json(run.wall_throughput());

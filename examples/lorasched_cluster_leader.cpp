@@ -293,7 +293,6 @@ int main(int argc, char** argv) try {
               << " remote shards\n";
   }
 
-  std::atomic<std::uint64_t> fed{0};
   std::atomic<std::uint64_t> shed{0};
   // With wire ingest and no --bids file there is nothing to feed locally —
   // stdin is not consumed.
@@ -324,10 +323,7 @@ int main(int argc, char** argv) try {
           continue;
         }
         if (already_known.count(bid.id) != 0) continue;
-        const auto result = server.submit(bid);
-        if (result == service::SubmitResult::kAccepted) {
-          fed.fetch_add(1);
-        } else {
+        if (server.submit(bid) != service::SubmitResult::kAccepted) {
           shed.fetch_add(1);
         }
       }
@@ -382,7 +378,10 @@ int main(int argc, char** argv) try {
   const std::uint64_t failed_over = server.failover_bids();
   const int dead = server.dead_shards();
   const SimResult result = server.finish();
-  std::cerr << "served " << fed.load() << " bids (" << shed.load()
+  // Decided bids, whatever fed them: the --bids file, wire ingest, or both.
+  std::cerr << "served "
+            << result.metrics.admitted + result.metrics.rejected << " bids ("
+            << shed.load()
             << " shed) on " << server.shard_count() << " remote shards over "
             << links.size() << " agent(s), welfare "
             << result.metrics.social_welfare << "$, admitted "

@@ -176,8 +176,10 @@ int run_wire(const std::vector<SourceStream>& streams,
           soak.record_response(m.source, m.seq, to_soak(m.status),
                                loadgen::SoakMetrics::now_ns());
         },
-        [](const std::string& reason) {
-          if (!reason.empty()) {
+        [&soak, source = streams[i].source](const std::string& reason) {
+          // A close after every bid of this source was answered is the
+          // server's clean quiesce (or our own teardown), not a failure.
+          if (soak.outstanding(source) > 0) {
             std::cerr << "soak: connection failed: " << reason << "\n";
           }
         }));

@@ -83,18 +83,11 @@ volatile std::sig_atomic_t g_dump_requested = 0;
 void on_sigusr1(int) { g_dump_requested = 1; }
 
 std::unique_ptr<Policy> make_policy(const std::string& name,
-                                    const Instance& instance,
-                                    int admission_batch, int batch_workers) {
+                                    const Instance& instance) {
   if (name == "pdFTSP") {
-    PdftspConfig config = pdftsp_config_for(instance);
-    config.admission_batch = admission_batch;
-    config.batch_workers = batch_workers;
-    return std::make_unique<Pdftsp>(config, instance.cluster, instance.energy,
+    return std::make_unique<Pdftsp>(pdftsp_config_for(instance),
+                                    instance.cluster, instance.energy,
                                     instance.horizon);
-  }
-  if (admission_batch != 0 || batch_workers != 0) {
-    throw std::invalid_argument(
-        "--admission-batch/--batch-workers require --policy pdFTSP");
   }
   if (name == "pdFTSP-adaptive") {
     return std::make_unique<AdaptivePdftsp>(OnlineParamEstimator::Config{},
@@ -112,7 +105,7 @@ int main(int argc, char** argv) try {
   cli.allow_only({"scenario", "seed", "policy", "bids", "slot-ms", "queue-cap",
                   "backpressure", "late", "checkpoint", "checkpoint-every",
                   "resume", "out", "verbose", "trace-out", "metrics-out",
-                  "metrics-every", "admission-batch", "batch-workers"});
+                  "metrics-every"});
 
   ScenarioConfig config;
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
@@ -122,12 +115,7 @@ int main(int argc, char** argv) try {
     config = io::read_scenario(in);
   }
   const Instance env = make_instance(config);
-  // Epoch-batched admission (DESIGN.md §5c): decisions are bit-identical to
-  // the one-at-a-time loop at any batch/worker setting.
-  const auto policy = make_policy(
-      cli.get("policy", "pdFTSP"), env,
-      static_cast<int>(cli.get_int("admission-batch", 0)),
-      static_cast<int>(cli.get_int("batch-workers", 0)));
+  const auto policy = make_policy(cli.get("policy", "pdFTSP"), env);
 
   service::ServiceConfig service_config;
   service_config.queue_capacity =

@@ -82,8 +82,7 @@ int main(int argc, char** argv) try {
                   "bids", "slot-ms", "queue-cap", "backpressure", "late",
                   "checkpoint", "checkpoint-every", "resume", "out", "verbose",
                   "metrics-out", "metrics-every", "timing", "http-port",
-                  "ingest-port", "ingest-clients", "admission-batch",
-                  "batch-workers"});
+                  "ingest-port", "ingest-clients"});
 
   ScenarioConfig config;
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
@@ -121,15 +120,8 @@ int main(int argc, char** argv) try {
 
   // One independent pdFTSP per shard, priced for the full scenario (the
   // α/β/κ bounds depend on the bid population, not the partition).
-  // Epoch-batched admission (DESIGN.md §5c) applies per shard; decisions
-  // stay bit-identical to the one-at-a-time loop at any setting.
-  PdftspConfig policy_config = pdftsp_config_for(env);
-  policy_config.admission_batch =
-      static_cast<int>(cli.get_int("admission-batch", 0));
-  policy_config.batch_workers =
-      static_cast<int>(cli.get_int("batch-workers", 0));
   shard::ShardedService server(
-      env, shard::make_pdftsp_factory(policy_config), sharded_config);
+      env, shard::make_pdftsp_factory(pdftsp_config_for(env)), sharded_config);
   LogSubscriber log(cli.get_bool("verbose", false));
   server.add_subscriber(&log);
 
@@ -216,7 +208,6 @@ int main(int argc, char** argv) try {
               << " bids already ingested)\n";
   }
 
-  std::atomic<std::uint64_t> fed{0};
   std::atomic<std::uint64_t> shed{0};
   // With wire ingest and no --bids file there is nothing to feed locally —
   // stdin is not consumed.
@@ -247,10 +238,7 @@ int main(int argc, char** argv) try {
           continue;
         }
         if (already_known.count(bid.id) != 0) continue;
-        const auto result = server.submit(bid);
-        if (result == service::SubmitResult::kAccepted) {
-          fed.fetch_add(1);
-        } else {
+        if (server.submit(bid) != service::SubmitResult::kAccepted) {
           shed.fetch_add(1);
         }
       }
@@ -305,7 +293,10 @@ int main(int argc, char** argv) try {
   const std::uint64_t rerouted = server.rerouted_bids();
   const std::uint64_t recovered = server.reroute_admits();
   const SimResult result = server.finish();
-  std::cerr << "served " << fed.load() << " bids (" << shed.load()
+  // Decided bids, whatever fed them: the --bids file, wire ingest, or both.
+  std::cerr << "served "
+            << result.metrics.admitted + result.metrics.rejected << " bids ("
+            << shed.load()
             << " shed) on " << server.shard_count() << " shards, welfare "
             << result.metrics.social_welfare << "$, admitted "
             << result.metrics.admitted << "/"

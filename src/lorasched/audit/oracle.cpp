@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <vector>
@@ -13,6 +14,7 @@ namespace lorasched::audit {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr std::int16_t kSkip = -1;
 
 /// The DP's work quantization, recomputed from its documented contract
 /// (schedule_dp.h): unit = (min positive class rate) / granularity, total
@@ -205,6 +207,144 @@ void check_dp_schedule(const Task& task, Slot start, const DualState& duals,
         << " but the oracle achieves " << *oracle;
     auditor.fail(why.str());
   }
+}
+
+Schedule reference_find(const Task& task, Slot start, const DualState& duals,
+                        const Cluster& cluster, const EnergyModel& energy,
+                        const ScheduleDpConfig& config, const void* filter_ctx,
+                        SlotFilter filter) {
+  Schedule schedule;
+  schedule.task = task.id;
+  if (task.work <= 0.0) return schedule;  // nothing to run
+  if (start > task.deadline || start < 0 ||
+      task.deadline >= duals.horizon()) {
+    return schedule;  // window empty or outside the horizon
+  }
+
+  const int classes = cluster.class_count();
+  const Slot window = task.deadline - start + 1;
+
+  // --- Work quantization --------------------------------------------------
+  // Unit u = (min usable class rate) / granularity; rates rounded down.
+  double min_rate = kInf;
+  std::vector<double> class_rate(static_cast<std::size_t>(classes));
+  for (int c = 0; c < classes; ++c) {
+    const double rate =
+        cluster.task_rate(task, cluster.class_representative(c));
+    class_rate[static_cast<std::size_t>(c)] = rate;
+    if (rate > 0.0) min_rate = std::min(min_rate, rate);
+  }
+  if (!std::isfinite(min_rate)) return schedule;
+  double unit = min_rate / config.granularity;
+  int total_units = static_cast<int>(std::ceil(task.work / unit));
+  if (total_units > config.max_units) {
+    unit = task.work / static_cast<double>(config.max_units);
+    total_units = config.max_units;
+  }
+  std::vector<int> class_units(static_cast<std::size_t>(classes), 0);
+  int max_class_units = 0;
+  for (int c = 0; c < classes; ++c) {
+    class_units[static_cast<std::size_t>(c)] = static_cast<int>(
+        std::floor(class_rate[static_cast<std::size_t>(c)] / unit));
+    max_class_units =
+        std::max(max_class_units, class_units[static_cast<std::size_t>(c)]);
+  }
+  if (max_class_units == 0) return schedule;  // no class can make progress
+  // Quick infeasibility check: even the fastest class over every slot of the
+  // window cannot reach the target.
+  if (static_cast<long long>(max_class_units) * window < total_units) {
+    return schedule;
+  }
+
+  // --- Per-slot class representatives (Δ_kt precompute) --------------------
+  // delta[t][c]: cost increment of running slot (start + t) on the best node
+  // of class c; best_node[t][c]: that node. Infinity when the class has no
+  // admissible node at that slot.
+  const auto tw = static_cast<std::size_t>(window);
+  const auto cw = static_cast<std::size_t>(classes);
+  std::vector<double> delta(tw * cw, kInf);
+  std::vector<NodeId> best_node(tw * cw, -1);
+  for (Slot rel = 0; rel < window; ++rel) {
+    const Slot t = start + rel;
+    for (int c = 0; c < classes; ++c) {
+      if (class_units[static_cast<std::size_t>(c)] == 0) continue;
+      // Normalized per-slot loads are constant within the class (same
+      // profile): s̃ = share, r̃ = r_i / adapter capacity.
+      const NodeId rep = cluster.class_representative(c);
+      const double s_norm = class_rate[static_cast<std::size_t>(c)] /
+                            cluster.compute_capacity(rep);
+      const double r_norm = task.mem_gb / cluster.adapter_mem_capacity(rep);
+      double best = kInf;
+      NodeId best_k = -1;
+      for (NodeId k : cluster.class_nodes(c)) {
+        if (filter != nullptr && !filter(filter_ctx, k, t)) continue;
+        const double cost = s_norm * duals.lambda(k, t) +
+                            r_norm * duals.phi(k, t) +
+                            energy.cost(task, cluster, k, t);
+        if (cost < best) {
+          best = cost;
+          best_k = k;
+        }
+      }
+      delta[static_cast<std::size_t>(rel) * cw + static_cast<std::size_t>(c)] =
+          best;
+      best_node[static_cast<std::size_t>(rel) * cw +
+                static_cast<std::size_t>(c)] = best_k;
+    }
+  }
+
+  // --- DP over (slot, work units) ------------------------------------------
+  const auto levels = static_cast<std::size_t>(total_units) + 1;
+  std::vector<double> prev(levels, kInf);
+  std::vector<double> cur(levels, kInf);
+  prev[0] = 0.0;
+  // choice[rel][w]: class run during slot rel to reach work level w, or kSkip.
+  std::vector<std::int16_t> choice(tw * levels, kSkip);
+
+  for (Slot rel = 0; rel < window; ++rel) {
+    const std::size_t row = static_cast<std::size_t>(rel) * levels;
+    for (std::size_t w = 0; w < levels; ++w) {
+      double best = prev[w];
+      std::int16_t best_choice = kSkip;
+      for (int c = 0; c < classes; ++c) {
+        const int units = class_units[static_cast<std::size_t>(c)];
+        if (units == 0) continue;
+        const double d = delta[static_cast<std::size_t>(rel) * cw +
+                               static_cast<std::size_t>(c)];
+        if (d == kInf) continue;
+        const std::size_t w_from = w > static_cast<std::size_t>(units)
+                                       ? w - static_cast<std::size_t>(units)
+                                       : 0;
+        if (prev[w_from] == kInf) continue;
+        const double cand = prev[w_from] + d;
+        if (cand < best) {
+          best = cand;
+          best_choice = static_cast<std::int16_t>(c);
+        }
+      }
+      cur[w] = best;
+      choice[row + w] = best_choice;
+    }
+    std::swap(prev, cur);
+  }
+
+  if (prev[levels - 1] == kInf) return schedule;  // infeasible
+
+  // --- Backtrack -----------------------------------------------------------
+  std::size_t w = levels - 1;
+  for (Slot rel = window - 1; rel >= 0; --rel) {
+    const std::int16_t c =
+        choice[static_cast<std::size_t>(rel) * levels + w];
+    if (c == kSkip) continue;
+    const NodeId k = best_node[static_cast<std::size_t>(rel) * cw +
+                               static_cast<std::size_t>(c)];
+    schedule.run.push_back({k, start + rel});
+    const auto units =
+        static_cast<std::size_t>(class_units[static_cast<std::size_t>(c)]);
+    w = w > units ? w - units : 0;
+  }
+  std::reverse(schedule.run.begin(), schedule.run.end());
+  return schedule;
 }
 
 }  // namespace lorasched::audit

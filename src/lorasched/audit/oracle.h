@@ -1,5 +1,6 @@
-// Brute-force oracle for Algorithm 2 — invariant (c) of the audit
-// catalogue (audit/audit.h).
+// Reference implementations of Algorithm 2 — the brute-force oracle behind
+// invariant (c) of the audit catalogue (audit/audit.h), and the per-call DP
+// that ScheduleDp's cached path must reproduce bit for bit.
 //
 // ScheduleDp solves problem (12) with a DP over (slot, completed-work)
 // states plus a per-slot class-representative reduction. The oracle solves
@@ -42,5 +43,19 @@ void check_dp_schedule(const Task& task, Slot start, const DualState& duals,
                        const Cluster& cluster, const EnergyModel& energy,
                        const ScheduleDpConfig& config, const void* filter_ctx,
                        SlotFilter filter, const Schedule& found);
+
+/// The per-call Alg. 2 DP: per-node dual lookups, per-node energy terms,
+/// and freshly allocated tables on every call. Same contract and same
+/// quantization as ScheduleDp::find (an unfinalized schedule, empty run
+/// when infeasible); the differential tests require both to return the
+/// same plan bit for bit. Slow by design: the tests and bench/micro_core's
+/// find-legacy arm are its only callers.
+[[nodiscard]] Schedule reference_find(const Task& task, Slot start,
+                                      const DualState& duals,
+                                      const Cluster& cluster,
+                                      const EnergyModel& energy,
+                                      const ScheduleDpConfig& config,
+                                      const void* filter_ctx = nullptr,
+                                      SlotFilter filter = nullptr);
 
 }  // namespace lorasched::audit

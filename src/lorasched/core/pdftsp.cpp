@@ -1,15 +1,13 @@
 #include "lorasched/core/pdftsp.h"
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "lorasched/core/pricing.h"
-#include "lorasched/obs/registry.h"
 #include "lorasched/obs/span.h"
-#include "lorasched/util/threadpool.h"
 
 #ifdef LORASCHED_AUDIT
 #include "lorasched/audit/invariants.h"
@@ -29,31 +27,11 @@ Pdftsp::Pdftsp(PdftspConfig config, const Cluster& cluster,
     throw std::invalid_argument(
         "pdFTSP needs positive alpha, beta, and welfare_unit");
   }
-  if (config_.parallel_candidates > 1) {
-    pool_ = std::make_unique<util::ThreadPool>(
-        static_cast<std::size_t>(config_.parallel_candidates));
-  }
-  if (config_.admission_batch > 1 && config_.batch_workers > 1) {
-    batch_pool_ = std::make_unique<util::ThreadPool>(
-        static_cast<std::size_t>(config_.batch_workers));
-  }
 }
-
-Pdftsp::~Pdftsp() = default;
 
 void Pdftsp::register_metrics(obs::MetricsRegistry& registry,
                               std::string_view prefix) const {
   dp_.register_metrics(registry, prefix);
-  // Batch sizes are small integers; octave buckets from 1 cover 1..4096
-  // with exact low-end resolution.
-  batch_hist_.store(
-      &registry.histogram(
-          "lorasched_admission_batch_size",
-          obs::HistogramOptions{.min = 1.0, .max = 4096.0,
-                                .buckets_per_octave = 8},
-          "Bids decided per price-epoch admission micro-batch (1 = "
-          "one-at-a-time processing)"),
-      std::memory_order_relaxed);
 }
 
 void Pdftsp::set_pricing(double alpha, double beta, double welfare_unit) {
@@ -98,14 +76,6 @@ Pdftsp::Candidate Pdftsp::select_schedule(
     const Task& task, const std::vector<VendorQuote>& quotes,
     const CapacityLedger* ledger,
     std::vector<obs::CandidateTrace>* candidates) const {
-  return select_schedule_impl(task, quotes, ledger, candidates,
-                              /*allow_pool=*/true);
-}
-
-Pdftsp::Candidate Pdftsp::select_schedule_impl(
-    const Task& task, const std::vector<VendorQuote>& quotes,
-    const CapacityLedger* ledger,
-    std::vector<obs::CandidateTrace>* candidates, bool allow_pool) const {
   Candidate best;
   best.objective = -std::numeric_limits<double>::infinity();
   // Install the outage filter only when some cell is actually blocked: a
@@ -115,94 +85,69 @@ Pdftsp::Candidate Pdftsp::select_schedule_impl(
   const SlotFilter filter =
       ledger != nullptr && ledger->has_blocks() ? &not_blocked : nullptr;
 
-  // Phase 1 — enumerate the (vendor, delay, share) candidate specs in the
-  // canonical order: per vendor, the task's own share first, then each
-  // distinct share option. The order is load-bearing — the strict-> best-of
-  // below keeps the *earliest* maximizer, and traces index into this list.
-  struct Spec {
-    VendorId vendor = kNoVendor;
-    Money vendor_price = 0.0;
-    Slot delay = 0;
-    double share = 0.0;  // 0 = the task's own compute share
-    Schedule schedule;
-    double objective = 0.0;
-    bool feasible = false;
+  // Runs Alg. 2 for one (vendor, delay, share) candidate and folds it into
+  // the best-of. The trace gets an entry per candidate, feasible or not —
+  // it shows every vendor's DP outcome, not just the winner's.
+  auto evaluate = [&](VendorId vendor, Money vendor_price, Slot delay,
+                      double share) {
+    Task effective = task;
+    if (share > 0.0) effective.compute_share = share;
+    Schedule schedule =
+        dp_.find(effective, task.arrival + delay, duals_, ledger, filter);
+    obs::CandidateTrace* traced = nullptr;
+    if (candidates != nullptr) {
+      traced = &candidates->emplace_back();
+      traced->vendor = vendor;
+      traced->vendor_price = vendor_price;
+      traced->prep_delay = delay;
+      traced->share = share;
+      traced->feasible = !schedule.empty();
+    }
+    if (schedule.empty()) return;
+    schedule.vendor = vendor;
+    schedule.vendor_price = vendor_price;
+    schedule.prep_delay = delay;
+    schedule.share_override = share;
+    finalize_schedule(schedule, task, cluster_, energy_);
+    const double objective = objective_value(schedule, duals_);
+    if (traced != nullptr) {
+      traced->objective = objective;
+      traced->energy_cost = schedule.energy_cost;
+      traced->welfare_gain = schedule.welfare_gain;
+      traced->norm_compute = schedule.norm_compute;
+      traced->norm_mem = schedule.norm_mem;
+      traced->start = schedule.run.front().slot;
+      traced->completion = schedule.completion_slot();
+      traced->slots = static_cast<std::int32_t>(schedule.run.size());
+    }
+    if (objective > best.objective) {
+      best.schedule = std::move(schedule);
+      best.objective = objective;
+      if (candidates != nullptr) {
+        best.trace_index = static_cast<int>(candidates->size()) - 1;
+      }
+    }
   };
-  std::vector<Spec> specs;
-  auto push_specs = [&](VendorId vendor, Money vendor_price, Slot delay) {
-    specs.push_back(Spec{vendor, vendor_price, delay, 0.0, {}, 0.0, false});
+  // Canonical candidate order: per vendor, the task's own share (0) first,
+  // then each distinct share option. The order is load-bearing — the
+  // strict-> best-of keeps the *earliest* maximizer, and traces index into
+  // this sequence.
+  auto evaluate_vendor = [&](VendorId vendor, Money vendor_price, Slot delay) {
+    evaluate(vendor, vendor_price, delay, 0.0);
     for (double share : config_.share_options) {
       if (share > 0.0 && share != task.compute_share) {
-        specs.push_back(
-            Spec{vendor, vendor_price, delay, share, {}, 0.0, false});
+        evaluate(vendor, vendor_price, delay, share);
       }
     }
   };
   if (task.needs_prep) {
     // Constraint (4a): exactly one vendor must be chosen when f_i = 1.
     for (std::size_t n = 0; n < quotes.size(); ++n) {
-      push_specs(static_cast<VendorId>(n), quotes[n].price, quotes[n].delay);
+      evaluate_vendor(static_cast<VendorId>(n), quotes[n].price,
+                      quotes[n].delay);
     }
   } else {
-    push_specs(kNoVendor, 0.0, 0);
-  }
-
-  // Phase 2 — run Alg. 2 per spec, concurrently when a pool is configured.
-  // Each DP reads the shared price snapshot and a thread_local scratch;
-  // finalize/objective are pure functions of the (const) duals, so every
-  // spec's result is independent of evaluation order and thread placement.
-  auto evaluate = [&](Spec& spec) {
-    const Slot start = task.arrival + spec.delay;
-    Task effective = task;
-    if (spec.share > 0.0) effective.compute_share = spec.share;
-    spec.schedule = dp_.find(effective, start, duals_, ledger, filter);
-    if (spec.schedule.empty()) return;
-    spec.feasible = true;
-    spec.schedule.vendor = spec.vendor;
-    spec.schedule.vendor_price = spec.vendor_price;
-    spec.schedule.prep_delay = spec.delay;
-    spec.schedule.share_override = spec.share > 0.0 ? spec.share : 0.0;
-    finalize_schedule(spec.schedule, task, cluster_, energy_);
-    spec.objective = objective_value(spec.schedule, duals_);
-  };
-  if (allow_pool && pool_ != nullptr && specs.size() > 1) {
-    util::parallel_for(*pool_, 0, specs.size(),
-                       [&](std::size_t i) { evaluate(specs[i]); });
-  } else {
-    for (Spec& spec : specs) evaluate(spec);
-  }
-
-  // Phase 3 — sequential reduction in spec order: trace entries (feasible
-  // or not — the trace shows every vendor's DP outcome, not just the
-  // winner's) and the strict-> comparison replay the serial loop exactly.
-  for (Spec& spec : specs) {
-    obs::CandidateTrace* traced = nullptr;
-    if (candidates != nullptr) {
-      traced = &candidates->emplace_back();
-      traced->vendor = spec.vendor;
-      traced->vendor_price = spec.vendor_price;
-      traced->prep_delay = spec.delay;
-      traced->share = spec.share;
-      traced->feasible = spec.feasible;
-    }
-    if (!spec.feasible) continue;
-    if (traced != nullptr) {
-      traced->objective = spec.objective;
-      traced->energy_cost = spec.schedule.energy_cost;
-      traced->welfare_gain = spec.schedule.welfare_gain;
-      traced->norm_compute = spec.schedule.norm_compute;
-      traced->norm_mem = spec.schedule.norm_mem;
-      traced->start = spec.schedule.run.front().slot;
-      traced->completion = spec.schedule.completion_slot();
-      traced->slots = static_cast<std::int32_t>(spec.schedule.run.size());
-    }
-    if (spec.objective > best.objective) {
-      best.schedule = std::move(spec.schedule);
-      best.objective = spec.objective;
-      if (candidates != nullptr) {
-        best.trace_index = static_cast<int>(candidates->size()) - 1;
-      }
-    }
+    evaluate_vendor(kNoVendor, 0.0, 0);
   }
   if (best.schedule.empty()) best.objective = 0.0;
   return best;
@@ -244,18 +189,11 @@ Decision Pdftsp::handle_task(const Task& task,
   LORASCHED_SPAN("pdftsp/decide");
   const bool tracing = trace_ != nullptr;
   std::vector<obs::CandidateTrace> cand_trace;
-  Candidate best =
+  const Candidate best =
       select_schedule(task, quotes, &ledger, tracing ? &cand_trace : nullptr);
-  return decide_with(task, std::move(best), std::move(cand_trace), ledger);
-}
-
-Decision Pdftsp::decide_with(const Task& task, Candidate&& best,
-                             std::vector<obs::CandidateTrace>&& cand_trace,
-                             const CapacityLedger& ledger) {
   Decision decision;
   decision.task = task.id;
 
-  const bool tracing = trace_ != nullptr;
   if (best.schedule.empty() || best.objective <= 0.0) {
     if (tracing) {
       // The trace's payment decomposition for an F(il) <= 0 reject is the
@@ -365,106 +303,15 @@ Decision Pdftsp::decide_with(const Task& task, Candidate&& best,
 }
 
 std::vector<Decision> Pdftsp::on_slot(const SlotContext& ctx) {
+  // Tasks within a slot are processed in arrival (id) order; each admitted
+  // decision is booked immediately so that Alg. 1's line-8 capacity check
+  // is exact for the next task in the batch.
   std::vector<Decision> decisions;
   decisions.reserve(ctx.arrivals.size());
-  obs::Histogram* hist = batch_hist_.load(std::memory_order_relaxed);
-  const std::size_t batch =
-      config_.admission_batch > 1
-          ? static_cast<std::size_t>(config_.admission_batch)
-          : 1;
-  if (batch <= 1 || ctx.arrivals.size() <= 1) {
-    // Tasks within a slot are processed in arrival (id) order; each
-    // admitted decision is booked immediately so that Alg. 1's line-8
-    // capacity check is exact for the next task in the batch.
-    for (const Task& task : ctx.arrivals) {
-      Decision d = handle_task(task, ctx.market.quotes(task), ctx.ledger);
-      commit_decision(ctx.ledger, cluster_, task, d);
-      decisions.push_back(std::move(d));
-      if (hist != nullptr) hist->record(1.0);
-    }
-    return decisions;
-  }
-
-  // Epoch-batched admission: speculate the Alg. 2 searches of a wave of
-  // bids against the frozen duals, then commit strictly in arrival order.
-  // A speculation is valid iff the dual epoch it ran under is still
-  // current at its commit (the epoch moves exactly on F(il) > 0 — eq. 7/8);
-  // when a commit moves the epoch, the wave's unconsumed tail is discarded
-  // and simply re-speculated as the head of the next wave — so every
-  // decide_with sees the same candidate the one-at-a-time loop would have
-  // computed, and decisions, duals, and traces are bit-identical by
-  // construction (wave boundaries only shift *when* a search runs, never
-  // what it reads). The speculative searches only read slot-static inputs
-  // besides the duals: the outage blocks of the ledger never change
-  // mid-slot, and the line-8 *capacity* check runs at commit time against
-  // the live ledger.
-  //
-  // Wave sizing: with a speculation pool the wave is always the full
-  // configured batch — the discarded tail cost is spread across workers,
-  // and the commit loop overlaps nothing either way. Speculating *inline*,
-  // a discarded tail is pure serial waste, so the depth adapts to the
-  // observed admit density: it shrinks to the distance the last wave
-  // actually got before an epoch move and doubles after a wave that
-  // consumed cleanly, staying near 1 under heavy admission and opening to
-  // the full batch through rejection streaks (exactly when the frozen-dual
-  // window is long). The adaptation is a pure function of the decision
-  // sequence, so runs stay deterministic.
-  const bool tracing = trace_ != nullptr;
-  struct Speculation {
-    std::vector<VendorQuote> quotes;
-    Candidate cand;
-    std::vector<obs::CandidateTrace> trace;
-    std::uint64_t epoch = 0;
-  };
-  const std::size_t count = ctx.arrivals.size();
-  std::vector<Speculation> specs(count);
-  // Quotes are collected sequentially in arrival order — identical
-  // Marketplace call sequence to the one-at-a-time loop.
-  for (std::size_t i = 0; i < count; ++i) {
-    specs[i].quotes = ctx.market.quotes(ctx.arrivals[i]);
-  }
-  auto speculate = [&](std::size_t i, bool allow_pool) {
-    specs[i].trace.clear();
-    specs[i].cand = select_schedule_impl(
-        ctx.arrivals[i], specs[i].quotes, &ctx.ledger,
-        tracing ? &specs[i].trace : nullptr, allow_pool);
-    specs[i].epoch = duals_.epoch();
-  };
-  const bool pooled = batch_pool_ != nullptr;
-  std::size_t depth = pooled ? batch : 1;
-  std::size_t wave_start = 0;  // first index of the wave being consumed
-  std::size_t next_spec = 0;   // first index not yet speculated
-  bool wave_clean = true;      // no epoch move while consuming this wave
-  for (std::size_t i = 0; i < count; ++i) {
-    if (i == next_spec) {
-      wave_start = i;
-      wave_clean = true;
-      const std::size_t wave = std::min({depth, batch, count - i});
-      if (pooled && wave > 1) {
-        util::parallel_for(*batch_pool_, 0, wave, [&](std::size_t j) {
-          speculate(i + j, false);
-        });
-      } else {
-        for (std::size_t j = 0; j < wave; ++j) speculate(i + j, true);
-      }
-      next_spec = i + wave;
-      if (hist != nullptr) hist->record(static_cast<double>(wave));
-    }
-    const Task& task = ctx.arrivals[i];
-    Decision d = decide_with(task, std::move(specs[i].cand),
-                             std::move(specs[i].trace), ctx.ledger);
+  for (const Task& task : ctx.arrivals) {
+    Decision d = handle_task(task, ctx.market.quotes(task), ctx.ledger);
     commit_decision(ctx.ledger, cluster_, task, d);
     decisions.push_back(std::move(d));
-    if (duals_.epoch() != specs[i].epoch) {
-      // This commit moved the prices: every unconsumed speculation is
-      // stale. Drop the tail (re-speculated as the next wave) and, when
-      // inline, shrink the depth to what this wave proved useful.
-      wave_clean = false;
-      if (next_spec > i + 1) next_spec = i + 1;
-      if (!pooled) depth = std::max<std::size_t>(1, i + 1 - wave_start);
-    } else if (!pooled && i + 1 == next_spec && wave_clean) {
-      depth = std::min(depth * 2, batch);
-    }
   }
   return decisions;
 }

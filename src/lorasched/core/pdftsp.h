@@ -11,8 +11,6 @@
 //     the pre-update duals.
 #pragma once
 
-#include <atomic>
-#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -26,14 +24,6 @@
 #include "lorasched/types.h"
 
 namespace lorasched {
-
-namespace util {
-class ThreadPool;
-}  // namespace util
-
-namespace obs {
-class Histogram;
-}  // namespace obs
 
 struct PdftspConfig {
   /// Lemma 2's capacity-control parameters in normalized units:
@@ -52,29 +42,6 @@ struct PdftspConfig {
   /// size. The best (vendor, share) candidate by F(il) wins; the chosen
   /// share is recorded as Schedule::share_override.
   std::vector<double> share_options{};
-  /// Candidate-level parallelism for Alg. 2 (0 or 1 = serial, the default):
-  /// with a value > 1, each bid's vendor/delay/share candidate DPs run
-  /// concurrently on a private pool of that many workers. The best-of
-  /// reduction stays sequential in candidate order, so decisions, payments,
-  /// and traces are bit-identical to the serial path (the differential
-  /// tests pin this). Pays off when vendors × shares is large; a lone
-  /// candidate always runs inline.
-  int parallel_candidates = 0;
-  /// Epoch-batched admission (0 or 1 = off, the default): on_slot decides
-  /// arrivals in micro-batches of up to this many bids per price epoch. The
-  /// Alg. 2 searches of a batch are *speculated* against the frozen duals
-  /// (the epoch only moves on an F(il) > 0 commit), then committed strictly
-  /// in arrival order; any speculation whose epoch was invalidated by an
-  /// earlier commit is transparently re-run. Decisions, payments, duals,
-  /// and traces are bit-identical to one-at-a-time processing — the batch
-  /// trace-equality tests pin this.
-  int admission_batch = 0;
-  /// Workers for the speculative Alg. 2 searches of a batch (0 or 1 =
-  /// speculate inline on the caller thread). With a value > 1 a private
-  /// pool runs the batch's searches concurrently; candidate-level
-  /// parallelism (parallel_candidates) is suppressed inside pooled
-  /// speculations so the two pools never nest.
-  int batch_workers = 0;
   ScheduleDpConfig dp{};
 };
 
@@ -84,7 +51,6 @@ class Pdftsp final : public Policy,
  public:
   Pdftsp(PdftspConfig config, const Cluster& cluster, const EnergyModel& energy,
          Slot horizon);
-  ~Pdftsp() override;
 
   [[nodiscard]] std::string_view name() const override { return "pdFTSP"; }
   [[nodiscard]] std::vector<Decision> on_slot(const SlotContext& ctx) override;
@@ -119,10 +85,8 @@ class Pdftsp final : public Policy,
 
   /// Wires the schedule-DP price-cache counters, arena gauges, and the
   /// `<prefix>_simd_dispatch` kernel gauge into `registry` (forwards to
-  /// ScheduleDp::register_metrics), plus the policy-level
-  /// `lorasched_admission_batch_size` histogram recording the micro-batch
-  /// size of every on_slot admission round (1 when epoch batching is off).
-  /// Services call this during setup so everything shows up in /metrics.
+  /// ScheduleDp::register_metrics). Services call this during setup so
+  /// everything shows up in /metrics.
   void register_metrics(obs::MetricsRegistry& registry,
                         std::string_view prefix = "lorasched_dp") const;
   [[nodiscard]] ScheduleDp::CacheStats dp_cache_stats() const noexcept {
@@ -151,38 +115,13 @@ class Pdftsp final : public Policy,
                   const std::vector<obs::DualCellSample>& cells,
                   double max_lambda, double max_phi, bool admitted,
                   bool capacity_reject) const;
-  /// select_schedule body with an explicit pool opt-out: pooled batch
-  /// speculations pass allow_pool = false so the candidate pool is never
-  /// driven from multiple threads (ThreadPool::wait_idle is pool-global).
-  [[nodiscard]] Candidate select_schedule_impl(
-      const Task& task, const std::vector<VendorQuote>& quotes,
-      const CapacityLedger* ledger,
-      std::vector<obs::CandidateTrace>* candidates, bool allow_pool) const;
-  /// Alg. 1 lines 5-13 given an already-selected best candidate: the sign
-  /// test, eq. 14 payment from pre-update duals, the eq. 7/8 update, and
-  /// the ground-truth capacity check. handle_task = select_schedule +
-  /// decide_with; the batched on_slot speculates the former and serializes
-  /// the latter.
-  [[nodiscard]] Decision decide_with(
-      const Task& task, Candidate&& best,
-      std::vector<obs::CandidateTrace>&& cand_trace,
-      const CapacityLedger& ledger);
 
   PdftspConfig config_;
   const Cluster& cluster_;  // must outlive the policy
   EnergyModel energy_;
   ScheduleDp dp_;
   DualState duals_;
-  /// Private pool for parallel_candidates > 1 (null when serial). Private
-  /// because ThreadPool::wait_idle() is pool-global — sharing one pool with
-  /// other subsystems would make select_schedule wait on their jobs.
-  std::unique_ptr<util::ThreadPool> pool_;
-  /// Private pool for batch_workers > 1 speculative searches (null
-  /// otherwise); separate from pool_ for the same wait_idle reason.
-  std::unique_ptr<util::ThreadPool> batch_pool_;
   obs::DecisionTraceSink* trace_ = nullptr;
-  // Optional obs wiring (register_metrics); null until registered.
-  mutable std::atomic<obs::Histogram*> batch_hist_{nullptr};
 };
 
 }  // namespace lorasched

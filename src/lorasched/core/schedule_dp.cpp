@@ -78,9 +78,9 @@ const DpScratch::Quant& DpScratch::quantize(std::uint64_t owner,
   q.class_s_norm.assign(cw, 0.0);
   q.class_units.assign(cw, 0);
 
-  // Bit-identical to the legacy per-call quantization: unit u = (min usable
-  // class rate) / granularity, rates rounded down, table capped at
-  // max_units.
+  // Bit-identical to audit::reference_find's per-call quantization: unit
+  // u = (min usable class rate) / granularity, rates rounded down, table
+  // capped at max_units.
   double min_rate = kInf;
   for (int c = 0; c < classes; ++c) {
     const NodeId rep = cluster.class_representative(c);
@@ -153,7 +153,26 @@ Schedule ScheduleDp::find(const Task& task, Slot start, const DualState& duals,
 void ScheduleDp::find_into(Schedule& result, const Task& task, Slot start,
                            const DualState& duals, DpScratch& scratch,
                            const void* filter_ctx, SlotFilter filter) const {
-  find_impl(result, task, start, duals, scratch, filter_ctx, filter);
+  if (duals.node_count() != cluster_.node_count()) {
+    throw std::invalid_argument(
+        "ScheduleDp::find: dual state has " +
+        std::to_string(duals.node_count()) + " nodes, the cluster has " +
+        std::to_string(cluster_.node_count()));
+  }
+  result.run.clear();  // keeps capacity — the steady state reuses it
+  result.task = task.id;
+  result.vendor = kNoVendor;
+  result.vendor_price = 0.0;
+  result.prep_delay = 0;
+  result.total_compute = 0.0;
+  result.total_mem = 0.0;
+  result.norm_compute = 0.0;
+  result.norm_mem = 0.0;
+  result.energy_cost = 0.0;
+  result.welfare_gain = 0.0;
+  result.exclusive = false;
+  result.share_override = 0.0;
+  find_cached(result, task, start, duals, scratch, filter_ctx, filter);
   if (auto* gauge = scratch_gauge_.load(std::memory_order_relaxed)) {
     gauge->set_max(static_cast<double>(scratch.bytes_reserved()));
   }
@@ -295,7 +314,7 @@ std::shared_ptr<const ScheduleDp::PriceSnapshot> ScheduleDp::snapshot_for(
   }
   // e_ikt factors as full_node_cost(k, t) * (s_ik / C_kp); the full-node
   // cost is task-independent and identical within a class, so one row per
-  // class replaces the per-node trigonometry of the legacy Δ loop.
+  // class replaces the per-node trigonometry of the reference Δ loop.
   snap->node_cost.resize(static_cast<std::size_t>(classes) * hz);
   for (int c = 0; c < classes; ++c) {
     const NodeId rep = cluster_.class_representative(c);
@@ -311,30 +330,6 @@ std::shared_ptr<const ScheduleDp::PriceSnapshot> ScheduleDp::snapshot_for(
   }
   return cache_;
 }
-
-void ScheduleDp::find_impl(Schedule& result, const Task& task, Slot start,
-                           const DualState& duals, DpScratch& scratch,
-                           const void* filter_ctx, SlotFilter filter) const {
-  if (config_.price_cache && duals.node_count() == cluster_.node_count()) {
-    result.run.clear();  // keeps capacity — the steady state reuses it
-    result.task = task.id;
-    result.vendor = kNoVendor;
-    result.vendor_price = 0.0;
-    result.prep_delay = 0;
-    result.total_compute = 0.0;
-    result.total_mem = 0.0;
-    result.norm_compute = 0.0;
-    result.norm_mem = 0.0;
-    result.energy_cost = 0.0;
-    result.welfare_gain = 0.0;
-    result.exclusive = false;
-    result.share_override = 0.0;
-    find_cached(result, task, start, duals, scratch, filter_ctx, filter);
-  } else {
-    result = find_legacy(task, start, duals, filter_ctx, filter);
-  }
-}
-
 
 void ScheduleDp::find_cached(Schedule& result, const Task& task, Slot start,
                              const DualState& duals, DpScratch& scratch,
@@ -487,8 +482,8 @@ void ScheduleDp::find_cached(Schedule& result, const Task& task, Slot start,
         scratch.live_.data() +
         scratch.live_start_[static_cast<std::size_t>(rel) + 1];
     if (lo == hi) {
-      // No usable class this slot: the row is pure carry-over (the legacy
-      // path copied prev into cur and swapped; skipping both is
+      // No usable class this slot: the row is pure carry-over (the
+      // reference path copies prev into cur and swaps; skipping both is
       // value-identical and saves the O(levels · classes) dead pass).
       scratch.row_active_[static_cast<std::size_t>(rel)] = 0;
       continue;
@@ -525,147 +520,6 @@ void ScheduleDp::find_cached(Schedule& result, const Task& task, Slot start,
     w = w > units ? w - units : 0;
   }
   std::reverse(result.run.begin(), result.run.end());
-}
-
-// The pre-overhaul hot path, kept verbatim as the price_cache = false arm:
-// per-node dual lookups, per-node energy trigonometry, and freshly
-// allocated DP tables every call. bench/micro_core A/Bs the cached path
-// against this, and the differential tests prove both arms bit-identical.
-Schedule ScheduleDp::find_legacy(const Task& task, Slot start,
-                                 const DualState& duals,
-                                 const void* filter_ctx,
-                                 SlotFilter filter) const {
-  LORASCHED_SPAN("dp/find");
-  Schedule schedule;
-  schedule.task = task.id;
-  if (task.work <= 0.0) return schedule;  // nothing to run
-  if (start > task.deadline || start < 0 ||
-      task.deadline >= duals.horizon()) {
-    return schedule;  // window empty or outside the horizon
-  }
-
-  const int classes = cluster_.class_count();
-  const Slot window = task.deadline - start + 1;
-
-  // --- Work quantization --------------------------------------------------
-  // Unit u = (min usable class rate) / granularity; rates rounded down.
-  double min_rate = kInf;
-  std::vector<double> class_rate(static_cast<std::size_t>(classes));
-  for (int c = 0; c < classes; ++c) {
-    const double rate = cluster_.task_rate(task, cluster_.class_representative(c));
-    class_rate[static_cast<std::size_t>(c)] = rate;
-    if (rate > 0.0) min_rate = std::min(min_rate, rate);
-  }
-  if (!std::isfinite(min_rate)) return schedule;
-  double unit = min_rate / config_.granularity;
-  int total_units = static_cast<int>(std::ceil(task.work / unit));
-  if (total_units > config_.max_units) {
-    unit = task.work / static_cast<double>(config_.max_units);
-    total_units = config_.max_units;
-  }
-  std::vector<int> class_units(static_cast<std::size_t>(classes), 0);
-  int max_class_units = 0;
-  for (int c = 0; c < classes; ++c) {
-    class_units[static_cast<std::size_t>(c)] = static_cast<int>(
-        std::floor(class_rate[static_cast<std::size_t>(c)] / unit));
-    max_class_units =
-        std::max(max_class_units, class_units[static_cast<std::size_t>(c)]);
-  }
-  if (max_class_units == 0) return schedule;  // no class can make progress
-  // Quick infeasibility check: even the fastest class over every slot of the
-  // window cannot reach the target.
-  if (static_cast<long long>(max_class_units) * window < total_units) {
-    return schedule;
-  }
-
-  // --- Per-slot class representatives (Δ_kt precompute) --------------------
-  // delta[t][c]: cost increment of running slot (start + t) on the best node
-  // of class c; best_node[t][c]: that node. Infinity when the class has no
-  // admissible node at that slot.
-  const auto tw = static_cast<std::size_t>(window);
-  const auto cw = static_cast<std::size_t>(classes);
-  std::vector<double> delta(tw * cw, kInf);
-  std::vector<NodeId> best_node(tw * cw, -1);
-  for (Slot rel = 0; rel < window; ++rel) {
-    const Slot t = start + rel;
-    for (int c = 0; c < classes; ++c) {
-      if (class_units[static_cast<std::size_t>(c)] == 0) continue;
-      // Normalized per-slot loads are constant within the class (same
-      // profile): s̃ = share, r̃ = r_i / adapter capacity.
-      const NodeId rep = cluster_.class_representative(c);
-      const double s_norm = class_rate[static_cast<std::size_t>(c)] /
-                            cluster_.compute_capacity(rep);
-      const double r_norm = task.mem_gb / cluster_.adapter_mem_capacity(rep);
-      double best = kInf;
-      NodeId best_k = -1;
-      for (NodeId k : cluster_.class_nodes(c)) {
-        if (filter != nullptr && !filter(filter_ctx, k, t)) continue;
-        const double cost = s_norm * duals.lambda(k, t) +
-                            r_norm * duals.phi(k, t) +
-                            energy_.cost(task, cluster_, k, t);
-        if (cost < best) {
-          best = cost;
-          best_k = k;
-        }
-      }
-      delta[static_cast<std::size_t>(rel) * cw + static_cast<std::size_t>(c)] =
-          best;
-      best_node[static_cast<std::size_t>(rel) * cw +
-                static_cast<std::size_t>(c)] = best_k;
-    }
-  }
-
-  // --- DP over (slot, work units) ------------------------------------------
-  const auto levels = static_cast<std::size_t>(total_units) + 1;
-  std::vector<double> prev(levels, kInf);
-  std::vector<double> cur(levels, kInf);
-  prev[0] = 0.0;
-  // choice[rel][w]: class run during slot rel to reach work level w, or kSkip.
-  std::vector<std::int16_t> choice(tw * levels, kSkip);
-
-  for (Slot rel = 0; rel < window; ++rel) {
-    const std::size_t row = static_cast<std::size_t>(rel) * levels;
-    for (std::size_t w = 0; w < levels; ++w) {
-      double best = prev[w];
-      std::int16_t best_choice = kSkip;
-      for (int c = 0; c < classes; ++c) {
-        const int units = class_units[static_cast<std::size_t>(c)];
-        if (units == 0) continue;
-        const double d = delta[static_cast<std::size_t>(rel) * cw +
-                               static_cast<std::size_t>(c)];
-        if (d == kInf) continue;
-        const std::size_t w_from =
-            w > static_cast<std::size_t>(units) ? w - static_cast<std::size_t>(units) : 0;
-        if (prev[w_from] == kInf) continue;
-        const double cand = prev[w_from] + d;
-        if (cand < best) {
-          best = cand;
-          best_choice = static_cast<std::int16_t>(c);
-        }
-      }
-      cur[w] = best;
-      choice[row + w] = best_choice;
-    }
-    std::swap(prev, cur);
-  }
-
-  if (prev[levels - 1] == kInf) return schedule;  // infeasible
-
-  // --- Backtrack -----------------------------------------------------------
-  std::size_t w = levels - 1;
-  for (Slot rel = window - 1; rel >= 0; --rel) {
-    const std::int16_t c =
-        choice[static_cast<std::size_t>(rel) * levels + w];
-    if (c == kSkip) continue;
-    const NodeId k = best_node[static_cast<std::size_t>(rel) * cw +
-                               static_cast<std::size_t>(c)];
-    schedule.run.push_back({k, start + rel});
-    const auto units =
-        static_cast<std::size_t>(class_units[static_cast<std::size_t>(c)]);
-    w = w > units ? w - units : 0;
-  }
-  std::reverse(schedule.run.begin(), schedule.run.end());
-  return schedule;
 }
 
 }  // namespace lorasched

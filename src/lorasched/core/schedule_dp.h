@@ -12,15 +12,15 @@
 //  * Δ_kt does not depend on the work level, so the inner min over nodes is
 //    pre-reduced to one representative node per GPU class per slot — exact,
 //    and turns O(W T K) into O(T K + W T #classes).
-//  * The default hot path is the *price-epoch cached* one: because the
-//    duals only move when a task is admitted (eq. 7/8), the λ/φ grids are
-//    snapshotted into class-major contiguous rows keyed on
-//    (DualState::uid(), DualState::epoch()) and every find() between two
-//    admissions reuses the snapshot; all DP tables live in a reusable
-//    DpScratch arena, so steady-state find() calls allocate nothing.
-//    `ScheduleDpConfig::price_cache = false` selects the original per-call
-//    path (per-node dual lookups, freshly allocated tables) — decisions are
-//    bit-identical either way, which the golden-fingerprint tests pin.
+//  * The hot path is *price-epoch cached*: because the duals only move when
+//    a task is admitted (eq. 7/8), the λ/φ grids are snapshotted into
+//    class-major contiguous rows keyed on (DualState::uid(),
+//    DualState::epoch()) and every find() between two admissions reuses the
+//    snapshot; all DP tables live in a reusable DpScratch arena, so
+//    steady-state find() calls allocate nothing. The original per-call DP
+//    (per-node dual lookups, freshly allocated tables) survives as the
+//    reference implementation audit::reference_find (audit/oracle.h); the
+//    differential tests require the two to agree bit for bit.
 #pragma once
 
 #include <atomic>
@@ -53,11 +53,6 @@ struct ScheduleDpConfig {
   double granularity = 2.0;
   /// Upper bound on the number of work units (guards DP table size).
   int max_units = 4096;
-  /// Price-epoch Δ-cache: true (default) runs the allocation-free cached
-  /// path described in the header comment; false runs the legacy per-call
-  /// path. Bit-identical results; the knob exists for A/B benchmarking
-  /// (bench/micro_core --json-out) and as an escape hatch.
-  bool price_cache = true;
   /// SIMD min-plus row kernel (DESIGN.md §5c): true (default) dispatches
   /// the cached path's inner loops to the best runtime-detected vector arm
   /// (AVX2/NEON, cpuid-checked, scalar everywhere else); false pins the
@@ -151,7 +146,9 @@ class ScheduleDp {
   /// filled, vendor fields are left for the caller. Returns an empty run if
   /// no feasible plan exists. `filter_ctx`/`filter` optionally restrict the
   /// usable (node, slot) pairs. Safe to call concurrently from any number
-  /// of threads as long as nobody mutates `duals` meanwhile.
+  /// of threads as long as nobody mutates `duals` meanwhile. Throws
+  /// std::invalid_argument when `duals` was not built for this cluster's
+  /// node count.
   [[nodiscard]] Schedule find(const Task& task, Slot start,
                               const DualState& duals,
                               const void* filter_ctx = nullptr,
@@ -221,16 +218,9 @@ class ScheduleDp {
     [[nodiscard]] std::size_t bytes() const noexcept;
   };
 
-  void find_impl(Schedule& result, const Task& task, Slot start,
-                 const DualState& duals, DpScratch& scratch,
-                 const void* filter_ctx, SlotFilter filter) const;
   void find_cached(Schedule& result, const Task& task, Slot start,
                    const DualState& duals, DpScratch& scratch,
                    const void* filter_ctx, SlotFilter filter) const;
-  [[nodiscard]] Schedule find_legacy(const Task& task, Slot start,
-                                     const DualState& duals,
-                                     const void* filter_ctx,
-                                     SlotFilter filter) const;
   [[nodiscard]] std::shared_ptr<const PriceSnapshot> snapshot_for(
       const DualState& duals) const EXCLUDES(cache_mutex_);
   void audit_result(const Task& task, Slot start, const DualState& duals,

@@ -185,6 +185,12 @@ std::uint64_t SoakMetrics::outstanding() const {
   return total;
 }
 
+std::uint64_t SoakMetrics::outstanding(std::uint32_t source) const {
+  util::MutexLock lock(mutex_);
+  const auto it = sources_.find(source);
+  return it == sources_.end() ? 0 : it->second.outstanding.size();
+}
+
 SoakReport SoakMetrics::report() const {
   util::MutexLock lock(mutex_);
   SoakReport out;

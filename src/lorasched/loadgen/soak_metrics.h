@@ -121,6 +121,9 @@ class SoakMetrics final : public service::DecisionSubscriber {
 
   /// Bids still awaiting a response (drain polling).
   [[nodiscard]] std::uint64_t outstanding() const EXCLUDES(mutex_);
+  /// Bids of one source still awaiting a response.
+  [[nodiscard]] std::uint64_t outstanding(std::uint32_t source) const
+      EXCLUDES(mutex_);
   [[nodiscard]] std::uint64_t responses() const noexcept {
     return responded_.value();
   }

@@ -232,7 +232,6 @@ HostAgent::HostAgent(Instance env, Config config, FactoryBuilder factory)
       policy.beta = m.beta;
       policy.welfare_unit = m.welfare_unit;
       policy.share_options = m.share_options;
-      policy.parallel_candidates = m.parallel_candidates;
       return shard::make_pdftsp_factory(policy);
     };
   }

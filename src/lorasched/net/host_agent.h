@@ -51,7 +51,7 @@ class HostAgent {
  public:
   /// Builds the per-shard policy from the leader's AssignShard parameters.
   /// The default wires them into make_pdftsp_factory (alpha, beta,
-  /// welfare_unit, share_options, parallel_candidates).
+  /// welfare_unit, share_options).
   using FactoryBuilder =
       std::function<shard::PolicyFactory(const AssignShardMsg&)>;
 

@@ -57,7 +57,6 @@ struct AssignShardMsg {
   double beta = 1.0;
   double welfare_unit = 1.0;
   std::vector<double> share_options;
-  std::int32_t parallel_candidates = 0;
   bool time_decisions = true;
   std::uint64_t inbox_capacity = 1024;
 };

@@ -281,7 +281,6 @@ RemoteShardHandle::RemoteShardHandle(std::shared_ptr<AgentLink> link,
   assignment_.beta = policy.beta;
   assignment_.welfare_unit = policy.welfare_unit;
   assignment_.share_options = policy.share_options;
-  assignment_.parallel_candidates = policy.parallel_candidates;
   assignment_.time_decisions = ctx.config.time_decisions;
   assignment_.inbox_capacity = ctx.config.inbox_capacity;
   tracer_ = ctx.config.tracer;

@@ -177,6 +177,13 @@ Connection::~Connection() {
 void Connection::fail(const std::string& reason) noexcept {
   if (failed_.exchange(true, std::memory_order_acq_rel)) return;
   socket_.shutdown();  // wakes the reader blocked in recv
+  // The writer and blocked senders test failed_ under outbox_mutex_ before
+  // they wait. Passing through the mutex orders this store against that
+  // test — without it a waiter between its check and its wait misses the
+  // notify and sleeps forever (and ~Connection joins it forever).
+  {
+    util::MutexLock lock(outbox_mutex_);
+  }
   outbox_cv_.notify_all();
   outbox_room_.notify_all();
   maint_cv_.notify_all();

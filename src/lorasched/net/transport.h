@@ -163,7 +163,9 @@ class Connection {
     return !failed_.load(std::memory_order_acquire);
   }
   /// Fails the connection with a reason (runs the close handler once).
-  void fail(const std::string& reason) noexcept;
+  /// Never call it holding the outbox lock: it takes that lock to publish
+  /// the failure to the waiting writer and senders.
+  void fail(const std::string& reason) noexcept EXCLUDES(outbox_mutex_);
 
   // Lifetime traffic counters (relaxed; exported as RPC metrics).
   [[nodiscard]] std::uint64_t bytes_sent() const noexcept {

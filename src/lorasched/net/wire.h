@@ -37,7 +37,9 @@ class WireError : public std::runtime_error {
 };
 
 inline constexpr std::uint8_t kWireMagic[4] = {'l', 's', 'w', 'p'};
-inline constexpr std::uint8_t kWireVersion = 1;
+/// Bumped on every incompatible message change (2: AssignShard dropped its
+/// parallel-candidates field).
+inline constexpr std::uint8_t kWireVersion = 2;
 /// Frame header bytes before the varint payload length.
 inline constexpr std::size_t kFramePrefix = 6;
 

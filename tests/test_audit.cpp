@@ -130,36 +130,6 @@ TEST(GoldenDecisions, ShareAdaptationPinnedToPreAuditSeed) {
 #endif
 }
 
-// The price-epoch cache, scratch arenas, and parallel candidate evaluation
-// (DESIGN.md §5) must not move a single decision or payment bit: every arm
-// of the hot-path overhaul pins to the SAME constants as the seed path
-// above.
-
-TEST(GoldenDecisions, LegacyUncachedPathPinnedToSameSeed) {
-  AuditorGuard guard;
-  const Instance instance = make_instance(pin_config());
-  PdftspConfig config = pdftsp_config_for(instance);
-  config.dp.price_cache = false;  // the pre-overhaul per-call path
-  Pdftsp policy(config, instance.cluster, instance.energy, instance.horizon);
-  const SimResult result = run_simulation(instance, policy);
-  EXPECT_EQ(fingerprint(result), 0xb8745db7f7c5010bULL);
-  EXPECT_EQ(result.metrics.admitted, 248);
-  EXPECT_EQ(result.metrics.rejected, 281);
-}
-
-TEST(GoldenDecisions, ParallelCandidatesPinnedToSameSeed) {
-  AuditorGuard guard;
-  const Instance instance = make_instance(pin_config());
-  PdftspConfig config = pdftsp_config_for(instance);
-  config.share_options = {0.25, 0.5, 1.0};  // widen the candidate fan-out
-  config.parallel_candidates = 4;
-  Pdftsp policy(config, instance.cluster, instance.energy, instance.horizon);
-  const SimResult result = run_simulation(instance, policy);
-  EXPECT_EQ(fingerprint(result), 0x77281649b22a6d0fULL);
-  EXPECT_EQ(result.metrics.admitted, 250);
-  EXPECT_EQ(result.metrics.rejected, 279);
-}
-
 // --- Shared fixtures for seeded violations -----------------------------------
 
 Cluster small_cluster() {

@@ -1,11 +1,10 @@
-// Differential coverage for the Alg. 2 hot-path overhaul (DESIGN.md §5):
-// the price-epoch cached + arena path must be bit-identical to the legacy
-// per-call path at every level — bare ScheduleDp::find across interleaved
-// admissions/rejections, full AdmissionService replays (schedules,
-// payments, and DecisionTraceRecords), K=4 ShardedService replays, and
-// pdFTSP's parallel candidate evaluation — plus unit coverage of the
-// DualState dirty-cell journal and TSan-covered concurrent find() calls
-// sharing one ScheduleDp.
+// Differential coverage for the Alg. 2 hot path (DESIGN.md §5): the
+// price-epoch cached + arena ScheduleDp::find must be bit-identical to the
+// per-call reference DP (audit::reference_find) across interleaved
+// admissions/rejections, dual pokes and copied dual states, and the SIMD
+// kernels must be bit- and tie-identical to the scalar ones — plus unit
+// coverage of the DualState dirty-cell journal and TSan-covered concurrent
+// find() calls sharing one ScheduleDp.
 #include "lorasched/core/schedule_dp.h"
 
 #include <gtest/gtest.h>
@@ -17,11 +16,9 @@
 #include <thread>
 #include <vector>
 
+#include "lorasched/audit/oracle.h"
 #include "lorasched/core/pdftsp.h"
 #include "lorasched/obs/registry.h"
-#include "lorasched/obs/trace.h"
-#include "lorasched/service/admission_service.h"
-#include "lorasched/shard/sharded_service.h"
 #include "lorasched/sim/engine.h"
 #include "lorasched/util/rng.h"
 #include "test_helpers.h"
@@ -36,19 +33,22 @@ bool test_filter(const void*, NodeId k, Slot t) {
   return k != 0 && t % 3 != 0;
 }
 
-/// Replays `bids` tasks through a cached and a legacy ScheduleDp under
-/// lock-step dual movement (an eq. 7/8 update every `admit_every`-th
+/// The per-call reference DP for the default ScheduleDpConfig.
+Schedule reference(const Instance& instance, const Task& task,
+                   const DualState& duals, SlotFilter filter = nullptr) {
+  return audit::reference_find(task, task.arrival, duals, instance.cluster,
+                               instance.energy, ScheduleDpConfig{}, nullptr,
+                               filter);
+}
+
+/// Replays `bids` tasks through the cached ScheduleDp and the reference DP
+/// under lock-step dual movement (an eq. 7/8 update every `admit_every`-th
 /// feasible plan) and requires identical runs at every step.
 void expect_lockstep_identical(const Instance& instance, std::size_t bids,
                                int admit_every, SlotFilter filter) {
-  ScheduleDpConfig cached_config;
-  cached_config.price_cache = true;
-  ScheduleDpConfig legacy_config;
-  legacy_config.price_cache = false;
-  const ScheduleDp cached(instance.cluster, instance.energy, cached_config);
-  const ScheduleDp legacy(instance.cluster, instance.energy, legacy_config);
+  const ScheduleDp cached(instance.cluster, instance.energy);
   DualState cached_duals(instance.cluster.node_count(), instance.horizon);
-  DualState legacy_duals(instance.cluster.node_count(), instance.horizon);
+  DualState reference_duals(instance.cluster.node_count(), instance.horizon);
   DpScratch scratch;
 
   int feasible = 0;
@@ -58,15 +58,14 @@ void expect_lockstep_identical(const Instance& instance, std::size_t bids,
     Schedule fast;
     cached.find_into(fast, task, task.arrival, cached_duals, scratch, nullptr,
                      filter);
-    const Schedule slow =
-        legacy.find(task, task.arrival, legacy_duals, nullptr, filter);
+    const Schedule slow = reference(instance, task, reference_duals, filter);
     ASSERT_EQ(fast.run, slow.run) << "bid " << i;
     if (!fast.empty() && ++feasible % admit_every == 0) {
       Schedule plan = fast;
       finalize_schedule(plan, task, instance.cluster, instance.energy);
       cached_duals.apply_update(task, plan, instance.cluster, 1.0, 1.0, 1.0);
-      legacy_duals.apply_update(task, plan, instance.cluster, 1.0, 1.0, 1.0);
-      ASSERT_EQ(cached_duals.lambda_values(), legacy_duals.lambda_values());
+      reference_duals.apply_update(task, plan, instance.cluster, 1.0, 1.0, 1.0);
+      ASSERT_EQ(cached_duals.lambda_values(), reference_duals.lambda_values());
     }
   }
   EXPECT_GT(feasible, 0);  // the scenario must actually exercise admissions
@@ -91,21 +90,17 @@ TEST(DpCacheDifferential, FilteredFindMatchesLegacy) {
 
 TEST(DpCacheDifferential, SetLambdaPerturbationsInvalidateTheSnapshot) {
   const Instance instance = make_instance(testing::small_scenario(5));
-  ScheduleDpConfig cached_config;  // price_cache defaults to true
-  const ScheduleDp cached(instance.cluster, instance.energy, cached_config);
-  ScheduleDpConfig legacy_config;
-  legacy_config.price_cache = false;
-  const ScheduleDp legacy(instance.cluster, instance.energy, legacy_config);
+  const ScheduleDp cached(instance.cluster, instance.energy);
   DualState duals(instance.cluster.node_count(), instance.horizon);
 
   util::Rng rng(99);
   for (std::size_t i = 0; i < 60 && i < instance.tasks.size(); ++i) {
     const Task& task = instance.tasks[i];
     EXPECT_EQ(cached.find(task, task.arrival, duals).run,
-              legacy.find(task, task.arrival, duals).run);
+              reference(instance, task, duals).run);
     // Unchanged prices: the repeat must be a cache hit and still agree.
     EXPECT_EQ(cached.find(task, task.arrival, duals).run,
-              legacy.find(task, task.arrival, duals).run);
+              reference(instance, task, duals).run);
     // Poke one random cell through the colgen-style setters; the epoch
     // bump must invalidate (or journal-patch) the snapshot.
     const auto k = static_cast<NodeId>(
@@ -135,6 +130,8 @@ TEST(DpCacheDifferential, CopiedDualStateGetsFreshIdentity) {
   const Schedule after_copy = dp.find(task, task.arrival, copy);
   const Schedule after_original = dp.find(task, task.arrival, original);
   EXPECT_EQ(after_original.run, before.run);
+  EXPECT_EQ(after_copy.run, reference(instance, task, copy).run);
+  EXPECT_EQ(after_original.run, reference(instance, task, original).run);
   if (!after_copy.empty()) {
     for (const Assignment& a : after_copy.run) {
       EXPECT_FALSE(a.node == 0 && a.slot == task.arrival);
@@ -174,14 +171,13 @@ TEST(DpCacheDifferential, CacheStatsCountHitsAndMisses) {
   EXPECT_NE(prom.find("lorasched_dp_snapshot_bytes"), std::string::npos);
 }
 
-TEST(DpCacheDifferential, PolicyMetricsExportSimdDispatchAndBatchHistogram) {
+TEST(DpCacheDifferential, PolicyMetricsExportSimdDispatch) {
   const Instance instance = make_instance(testing::small_scenario(43));
-  PdftspConfig config = pdftsp_config_for(instance);
-  config.admission_batch = 8;
-  Pdftsp policy(config, instance.cluster, instance.energy, instance.horizon);
+  Pdftsp policy(pdftsp_config_for(instance), instance.cluster,
+                instance.energy, instance.horizon);
   obs::MetricsRegistry registry;
   policy.register_metrics(registry);
-  (void)run_simulation(instance, policy);  // records admission waves
+  (void)run_simulation(instance, policy);
 
   std::ostringstream prom_out;
   registry.write_prometheus(prom_out);
@@ -193,7 +189,6 @@ TEST(DpCacheDifferential, PolicyMetricsExportSimdDispatchAndBatchHistogram) {
                                           ? simd::active_kernel()
                                           : simd::Kernel::kScalar));
   EXPECT_NE(prom.find(dispatch), std::string::npos) << prom;
-  EXPECT_NE(prom.find("lorasched_admission_batch_size"), std::string::npos);
 }
 
 // --- SIMD min-plus kernels (DESIGN.md §5c) ----------------------------------
@@ -421,127 +416,6 @@ TEST(DualJournal, ApplyUpdateJournalsExactlyTheRunCells) {
   std::vector<std::uint32_t> dirty;
   ASSERT_TRUE(duals.dirty_cells_since(base, dirty));
   EXPECT_EQ(dirty, (std::vector<std::uint32_t>{2, 16 + 3, 4}));
-}
-
-// --- Service-level differentials --------------------------------------------
-
-struct ServiceReplay {
-  SimResult result;
-  std::string trace_jsonl;
-};
-
-ServiceReplay replay_monolithic(const Instance& instance, bool price_cache) {
-  PdftspConfig config = pdftsp_config_for(instance);
-  config.dp.price_cache = price_cache;
-  Pdftsp policy(config, instance.cluster, instance.energy, instance.horizon);
-  std::ostringstream jsonl;
-  obs::DecisionTracer tracer(&jsonl);
-  policy.set_trace_sink(&tracer);
-  service::AdmissionService service(instance, policy);
-  for (const Task& task : instance.tasks) {
-    EXPECT_EQ(service.submit(task), service::SubmitResult::kAccepted);
-  }
-  while (!service.done()) service.step();
-  ServiceReplay replay;
-  replay.result = service.finish();
-  tracer.flush();
-  replay.trace_jsonl = jsonl.str();
-  return replay;
-}
-
-void expect_same_results(const SimResult& a, const SimResult& b) {
-  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
-  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
-    SCOPED_TRACE(i);
-    EXPECT_EQ(a.outcomes[i].task, b.outcomes[i].task);
-    EXPECT_EQ(a.outcomes[i].admitted, b.outcomes[i].admitted);
-    EXPECT_EQ(a.outcomes[i].payment, b.outcomes[i].payment);
-    EXPECT_EQ(a.outcomes[i].vendor, b.outcomes[i].vendor);
-    EXPECT_EQ(a.outcomes[i].energy_cost, b.outcomes[i].energy_cost);
-  }
-  ASSERT_EQ(a.schedules.size(), b.schedules.size());
-  for (std::size_t i = 0; i < a.schedules.size(); ++i) {
-    EXPECT_EQ(a.schedules[i].run, b.schedules[i].run);
-  }
-  EXPECT_EQ(a.metrics.social_welfare, b.metrics.social_welfare);
-  EXPECT_EQ(a.metrics.total_payments, b.metrics.total_payments);
-  EXPECT_EQ(a.metrics.admitted, b.metrics.admitted);
-  EXPECT_EQ(a.metrics.rejected, b.metrics.rejected);
-}
-
-TEST(ServiceDifferential, MonolithicCacheOnOffBitIdentical) {
-  const Instance instance = make_instance(testing::small_scenario(17));
-  const ServiceReplay cached = replay_monolithic(instance, true);
-  const ServiceReplay legacy = replay_monolithic(instance, false);
-  expect_same_results(cached.result, legacy.result);
-  // Byte-identical DecisionTraceRecord streams: candidates, objectives,
-  // payment decompositions, and dual samples all match exactly.
-  EXPECT_EQ(cached.trace_jsonl, legacy.trace_jsonl);
-  EXPECT_FALSE(cached.trace_jsonl.empty());
-}
-
-SimResult replay_sharded(const Instance& instance, bool price_cache,
-                         int parallel_candidates = 0) {
-  PdftspConfig config = pdftsp_config_for(instance);
-  config.dp.price_cache = price_cache;
-  config.parallel_candidates = parallel_candidates;
-  shard::ShardedConfig sharded;
-  sharded.shards = 4;
-  shard::ShardedService service(instance,
-                                shard::make_pdftsp_factory(config), sharded);
-  for (const Task& task : instance.tasks) {
-    EXPECT_EQ(service.submit(task), service::SubmitResult::kAccepted);
-  }
-  while (!service.done()) service.step();
-  return service.finish();
-}
-
-TEST(ServiceDifferential, ShardedK4CacheOnOffBitIdentical) {
-  ScenarioConfig config = testing::small_scenario(23);
-  config.nodes = 8;  // four 2-node shards
-  const Instance instance = make_instance(config);
-  expect_same_results(replay_sharded(instance, true),
-                      replay_sharded(instance, false));
-}
-
-TEST(ServiceDifferential, ShardedParallelCandidatesBitIdentical) {
-  ScenarioConfig config = testing::small_scenario(29);
-  config.nodes = 8;
-  const Instance instance = make_instance(config);
-  expect_same_results(replay_sharded(instance, true, 0),
-                      replay_sharded(instance, true, 4));
-}
-
-// --- Parallel candidate evaluation ------------------------------------------
-
-TEST(ParallelCandidates, BitIdenticalToSerialWithShareOptions) {
-  const Instance instance = make_instance(testing::small_scenario(31));
-  PdftspConfig serial_config = pdftsp_config_for(instance);
-  // Widen the candidate set (vendors × shares) so the pool actually fans
-  // out, including exact-tie opportunities the reduction must break by
-  // candidate order, not completion order.
-  serial_config.share_options = {0.25, 0.5, 1.0};
-  PdftspConfig parallel_config = serial_config;
-  parallel_config.parallel_candidates = 4;
-
-  Pdftsp serial(serial_config, instance.cluster, instance.energy,
-                instance.horizon);
-  Pdftsp parallel(parallel_config, instance.cluster, instance.energy,
-                  instance.horizon);
-  std::ostringstream serial_jsonl;
-  std::ostringstream parallel_jsonl;
-  obs::DecisionTracer serial_tracer(&serial_jsonl);
-  obs::DecisionTracer parallel_tracer(&parallel_jsonl);
-  serial.set_trace_sink(&serial_tracer);
-  parallel.set_trace_sink(&parallel_tracer);
-
-  const SimResult a = run_simulation(instance, serial);
-  const SimResult b = run_simulation(instance, parallel);
-  expect_same_results(a, b);
-  serial_tracer.flush();
-  parallel_tracer.flush();
-  EXPECT_EQ(serial_jsonl.str(), parallel_jsonl.str());
-  EXPECT_FALSE(serial_jsonl.str().empty());
 }
 
 // --- Concurrency (TSan coverage: ScheduleDpConcurrency in the CI regex) ------

@@ -14,6 +14,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -261,7 +263,6 @@ TEST(Messages, AssignShardRoundTrip) {
   msg.beta = 1.0 / 7.0;
   msg.welfare_unit = 0.01;
   msg.share_options = {0.25, 0.5, 1.0};
-  msg.parallel_candidates = 3;
   msg.time_decisions = false;
   msg.inbox_capacity = 77;
   const AssignShardMsg back = decode_assign_shard(encode(msg));
@@ -274,7 +275,6 @@ TEST(Messages, AssignShardRoundTrip) {
   for (std::size_t i = 0; i < msg.share_options.size(); ++i) {
     EXPECT_EQ(bits(back.share_options[i]), bits(msg.share_options[i]));
   }
-  EXPECT_EQ(back.parallel_candidates, msg.parallel_candidates);
   EXPECT_EQ(back.time_decisions, msg.time_decisions);
   EXPECT_EQ(back.inbox_capacity, msg.inbox_capacity);
 }
@@ -446,6 +446,17 @@ struct Mailbox {
 /// Accepts exactly one peer on a loopback listener.
 Socket accept_one(Listener& listener) { return listener.accept(); }
 
+/// Polls `done` until it holds or `budget` elapsed.
+template <typename Pred>
+bool eventually(Pred done, std::chrono::milliseconds budget) {
+  const auto deadline = std::chrono::steady_clock::now() + budget;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(1ms);
+  }
+  return true;
+}
+
 TEST(Transport, LoopbackFramesFlowBothWays) {
   Listener listener(0);
   Socket server_sock;
@@ -470,8 +481,54 @@ TEST(Transport, LoopbackFramesFlowBothWays) {
   ASSERT_TRUE(server.send(MsgType::kHelloAck, encode(HelloAckMsg{99})));
   ASSERT_TRUE(client_mail.wait_frames(1, 5000ms));
   EXPECT_EQ(client_mail.frames[0].type, MsgType::kHelloAck);
-  EXPECT_GT(client.frames_sent(), 0u);
+  // The writer counts a frame after ::send returns, so the peer's reply can
+  // land before the client's counter moves: wait for it, don't race it.
+  EXPECT_TRUE(eventually([&] { return client.frames_sent() > 0; }, 5000ms));
   EXPECT_GT(client.bytes_received(), 0u);
+}
+
+TEST(Transport, ConnectionTeardownNeverHangs) {
+  // Regression: fail() used to notify the writer and blocked senders
+  // without passing through the outbox mutex, so a writer between its
+  // failed_ check and its wait slept through the wakeup and ~Connection
+  // joined it forever. Build and destroy loopback pairs one after another
+  // (never many at once): destroying the server fails the client from its
+  // reader thread while the client's writer may still be starting up. The
+  // window is a few instructions wide, so the old code hangs in only a
+  // fraction of runs; the fixed code never does.
+  constexpr int kPairs = 5000;
+  // A hung join never returns to the test body, so the deadline is a
+  // watchdog that aborts the process instead of waiting out ctest.
+  std::mutex watch_mutex;
+  std::condition_variable watch_cv;
+  bool finished = false;
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(watch_mutex);
+    if (!watch_cv.wait_for(lock, 120s, [&] { return finished; })) {
+      std::fprintf(stderr, "Connection teardown hung\n");
+      std::abort();
+    }
+  });
+  Listener listener(0);
+  for (int i = 0; i < kPairs; ++i) {
+    Socket server_sock;
+    std::thread acceptor([&] { server_sock = accept_one(listener); });
+    Socket client_sock = Socket::connect("127.0.0.1", listener.port());
+    acceptor.join();
+    auto server = std::make_unique<Connection>(
+        std::move(server_sock), Connection::Config{}, [](Frame&&) {},
+        [](const std::string&) {});
+    Connection client(std::move(client_sock), {}, [](Frame&&) {},
+                      [](const std::string&) {});
+    if (i % 2 == 0) (void)client.send(MsgType::kPing, {});
+    server.reset();
+  }
+  {
+    std::lock_guard<std::mutex> lock(watch_mutex);
+    finished = true;
+  }
+  watch_cv.notify_all();
+  watchdog.join();
 }
 
 TEST(Transport, PeerDropRunsCloseHandlerOnce) {

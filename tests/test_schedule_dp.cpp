@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "test_helpers.h"
@@ -81,6 +82,14 @@ TEST(ScheduleDp, FindsFeasiblePlanCoveringWork) {
     work += cluster.task_rate(task, a.node);
   }
   EXPECT_GE(work, task.work);
+}
+
+TEST(ScheduleDp, RejectsDualStateOfAnotherFleet) {
+  const Cluster cluster = mini_cluster();  // 2 nodes
+  const ScheduleDp dp(cluster, flat_energy());
+  const DualState duals(3, 20);
+  const Task task = make_task(0, 0, 10, 1800.0);
+  EXPECT_THROW((void)dp.find(task, 0, duals), std::invalid_argument);
 }
 
 TEST(ScheduleDp, SlotsStrictlyIncreasing) {

@@ -11,13 +11,11 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "lorasched/core/online_params.h"
 #include "lorasched/core/pdftsp.h"
 #include "lorasched/io/serialize.h"
-#include "lorasched/obs/trace.h"
 #include "lorasched/sim/engine.h"
 #include "test_helpers.h"
 
@@ -356,49 +354,6 @@ TEST(AdmissionService, ConcurrentProducersWithRunningSlotLoop) {
     EXPECT_TRUE(seen.insert(o.task).second) << "duplicate decision";
   }
   EXPECT_GT(ops.slots_processed, 0u);
-}
-
-// Epoch-batched admission (PdftspConfig::admission_batch) must be
-// trace-equal to one-at-a-time processing: same decisions, payments,
-// schedules, and byte-identical DecisionTraceRecord streams — inline
-// speculation and the pooled (batch_workers) variant alike.
-TEST(AdmissionService, EpochBatchedAdmissionBitIdenticalToSequential) {
-  const Instance instance = make_instance(testing::small_scenario(41));
-  const PdftspConfig base = pdftsp_config_for(instance);
-  auto replay = [&](int batch, int workers) {
-    PdftspConfig config = base;
-    config.admission_batch = batch;
-    config.batch_workers = workers;
-    Pdftsp policy(config, instance.cluster, instance.energy,
-                  instance.horizon);
-    std::ostringstream jsonl;
-    obs::DecisionTracer tracer(&jsonl);
-    policy.set_trace_sink(&tracer);
-    AdmissionService service(instance, policy);
-    serve_instance(service, instance, /*threads=*/1);
-    const SimResult result = service.finish();
-    tracer.flush();
-    return std::pair<SimResult, std::string>(result, jsonl.str());
-  };
-
-  const auto [seq, seq_trace] = replay(0, 0);
-  ASSERT_FALSE(seq_trace.empty());
-  struct BatchArm {
-    int batch;
-    int workers;
-  };
-  for (const BatchArm arm : {BatchArm{4, 0}, BatchArm{32, 0}, BatchArm{8, 3}}) {
-    SCOPED_TRACE(arm.batch);
-    SCOPED_TRACE(arm.workers);
-    const auto [batched, batched_trace] = replay(arm.batch, arm.workers);
-    expect_same_outcomes(seq.outcomes, batched.outcomes);
-    expect_same_metrics(seq.metrics, batched.metrics);
-    ASSERT_EQ(seq.schedules.size(), batched.schedules.size());
-    for (std::size_t i = 0; i < seq.schedules.size(); ++i) {
-      EXPECT_EQ(seq.schedules[i].run, batched.schedules[i].run);
-    }
-    EXPECT_EQ(seq_trace, batched_trace);
-  }
 }
 
 TEST(AdmissionService, FinishRequiresCompletedHorizon) {

@@ -393,43 +393,6 @@ Instance two_shard_contention() {
                   std::move(tasks));
 }
 
-// Epoch-batched admission inside every shard policy must leave a K=4 run
-// bit-identical to the one-at-a-time run: batching only changes when a
-// shard's Alg. 2 searches execute, never what they decide.
-TEST(ShardedService, EpochBatchedAdmissionBitIdenticalAtK4) {
-  ScenarioConfig scenario = testing::small_scenario(47);
-  scenario.nodes = 8;  // four 2-node shards
-  const Instance instance = make_instance(scenario);
-  const PdftspConfig base = pdftsp_config_for(instance);
-  auto replay = [&](int batch, int workers) {
-    PdftspConfig config = base;
-    config.admission_batch = batch;
-    config.batch_workers = workers;
-    ShardedConfig sharded;
-    sharded.shards = 4;
-    ShardedService service(instance, make_pdftsp_factory(config), sharded);
-    serve_instance(service, instance, /*threads=*/1);
-    return service.finish();
-  };
-
-  const SimResult seq = replay(0, 0);
-  struct BatchArm {
-    int batch;
-    int workers;
-  };
-  for (const BatchArm arm : {BatchArm{8, 0}, BatchArm{8, 2}}) {
-    SCOPED_TRACE(arm.batch);
-    SCOPED_TRACE(arm.workers);
-    const SimResult batched = replay(arm.batch, arm.workers);
-    expect_same_outcomes(seq.outcomes, batched.outcomes);
-    expect_same_metrics(seq.metrics, batched.metrics);
-    ASSERT_EQ(seq.schedules.size(), batched.schedules.size());
-    for (std::size_t i = 0; i < seq.schedules.size(); ++i) {
-      EXPECT_EQ(seq.schedules[i].run, batched.schedules[i].run);
-    }
-  }
-}
-
 TEST(ShardedService, SecondChanceRecoversCapacityReject) {
   const Instance instance = two_shard_contention();
   const PdftspConfig config = pdftsp_config_for(instance);
