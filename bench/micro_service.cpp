@@ -1,4 +1,5 @@
-// micro_service — admission-service throughput microbenchmark.
+// micro_service — serving-stack throughput microbenchmark (a single-shard
+// ShardedService, the in-process daemon's default).
 //
 // N producer threads blast a scenario's bid stream into the service while
 // the slot loop runs at a configurable (fast) slot period; reports
@@ -26,7 +27,7 @@
 #include "lorasched/experiments/scenario.h"
 #include "lorasched/obs/json.h"
 #include "lorasched/obs/span.h"
-#include "lorasched/service/admission_service.h"
+#include "lorasched/shard/sharded_service.h"
 #include "lorasched/util/cli.h"
 #include "lorasched/util/timing.h"
 
@@ -46,16 +47,16 @@ PassResult run_pass(const Instance& instance, const ScenarioConfig& config,
   obs::Profiler::instance().set_enabled(spans);
   obs::Profiler::instance().reset();
 
-  Pdftsp policy(pdftsp_config_for(instance), instance.cluster, instance.energy,
-                instance.horizon);
-  service::ServiceConfig service_config;
+  shard::ShardedConfig service_config;
   service_config.queue_capacity = queue_cap;
   service_config.backpressure = service::BackpressureMode::kBlock;
   // Producers submit as fast as they can, far outrunning the slot clock, so
   // most bids arrive "late" relative to their scripted slot; clamping
   // auctions them at the slot the service is actually in.
   service_config.late_bids = service::LateBidMode::kClamp;
-  service::AdmissionService server(instance, policy, service_config);
+  shard::ShardedService server(
+      instance, shard::make_pdftsp_factory(pdftsp_config_for(instance)),
+      service_config);
 
   std::thread consumer([&] { server.run(slot_period); });
 

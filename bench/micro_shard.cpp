@@ -1,9 +1,9 @@
-// micro_shard — monolithic vs. sharded admission throughput A/B.
+// micro_shard — admission throughput across shard counts.
 //
 // Replays the Fig. 8 "high" workload (hybrid fleet, Poisson arrivals)
-// offline — every bid ingested up front, slots decided back to back — once
-// through the monolithic AdmissionService and once through a
-// ShardedService at K ∈ {1, 2, 4, 8} shards, and reports per run:
+// offline — every bid ingested up front, slots decided back to back —
+// through a ShardedService at K ∈ {1, 2, 4, 8} shards, and reports per
+// run (K=1, the single online auction decided inline, is the baseline):
 //
 //   * wall-clock decision throughput (bids / wall seconds of the slot
 //     loop). On a single-core host the K shard threads time-slice one CPU,
@@ -13,7 +13,7 @@
 //     max-per-shard policy seconds in that round — the slot-loop latency a
 //     K-core deployment pays, since shards within a round decide
 //     concurrently and only the re-offer rounds serialize. This is the
-//     number the K-vs-monolithic speedup claim is evaluated on;
+//     number the K-vs-K=1 speedup claim is evaluated on;
 //   * decision-latency p99 and end-of-run auction accounting (welfare,
 //     admitted). finish() runs the ledger-vs-bookings cross-check, so a
 //     throughput row only prints if no capacity/validator violation
@@ -37,7 +37,6 @@
 #include "lorasched/core/pdftsp.h"
 #include "lorasched/experiments/scenario.h"
 #include "lorasched/obs/json.h"
-#include "lorasched/service/admission_service.h"
 #include "lorasched/shard/sharded_service.h"
 #include "lorasched/util/cli.h"
 #include "lorasched/util/timing.h"
@@ -48,7 +47,7 @@ namespace {
 
 struct RunResult {
   std::string label;
-  int shards = 0;  // 0 = monolithic
+  int shards = 0;
   std::uint64_t decided = 0;
   double wall_seconds = 0.0;
   double critical_seconds = 0.0;
@@ -71,58 +70,6 @@ struct RunResult {
   }
 };
 
-/// Accumulates the per-slot policy decide seconds — the monolithic
-/// service's critical path (one engine, no parallelism).
-class DecideSecondsProbe final : public service::DecisionSubscriber {
- public:
-  void on_slot_end(const service::SlotReport& report) override {
-    total_ += report.decide_seconds;
-  }
-  [[nodiscard]] double total() const noexcept { return total_; }
-
- private:
-  double total_ = 0.0;
-};
-
-template <typename Service>
-void replay(Service& server, const Instance& instance) {
-  for (const Task& bid : instance.tasks) {
-    if (server.submit(bid) != service::SubmitResult::kAccepted) {
-      throw std::runtime_error("bench queue rejected a bid (capacity?)");
-    }
-  }
-  server.close();
-  while (!server.done()) server.step();
-}
-
-RunResult run_monolithic(const Instance& instance) {
-  Pdftsp policy(pdftsp_config_for(instance), instance.cluster,
-                instance.energy, instance.horizon);
-  service::ServiceConfig config;
-  config.queue_capacity = instance.tasks.size() + 1;
-  service::AdmissionService server(instance, policy, config);
-  DecideSecondsProbe probe;
-  server.add_subscriber(&probe);
-
-  const util::Stopwatch wall;
-  replay(server, instance);
-  const double wall_seconds = wall.seconds();
-
-  const auto ops = server.metrics();
-  const SimResult result = server.finish();
-  RunResult run;
-  run.label = "monolithic";
-  run.decided = ops.bids_decided;
-  run.wall_seconds = wall_seconds;
-  run.critical_seconds = probe.total();
-  run.decide_p99 = ops.decide_p99;
-  run.welfare = result.metrics.social_welfare;
-  run.admitted = result.metrics.admitted;
-  run.rejected = result.metrics.rejected;
-  run.utilization = result.metrics.utilization;
-  return run;
-}
-
 RunResult run_sharded(const Instance& instance, int shards, int reroute) {
   shard::ShardedConfig config;
   config.shards = shards;
@@ -133,7 +80,13 @@ RunResult run_sharded(const Instance& instance, int shards, int reroute) {
       config);
 
   const util::Stopwatch wall;
-  replay(server, instance);
+  for (const Task& bid : instance.tasks) {
+    if (server.submit(bid) != service::SubmitResult::kAccepted) {
+      throw std::runtime_error("bench queue rejected a bid (capacity?)");
+    }
+  }
+  server.close();
+  while (!server.done()) server.step();
   const double wall_seconds = wall.seconds();
 
   const auto ops = server.metrics();
@@ -174,14 +127,13 @@ int main(int argc, char** argv) try {
   const int reroute = static_cast<int>(cli.get_int("reroute", 1));
   const Instance instance = make_instance(config);
 
-  // The monolithic baseline, then the shard-count sweep.
+  // The shard-count sweep; K=1 is the baseline every row compares to.
   std::vector<RunResult> runs;
-  runs.push_back(run_monolithic(instance));
-  const RunResult mono = runs.front();  // copy: push_back reallocates
   for (const int k : {1, 2, 4, 8}) {
     if (k > config.nodes) break;
     runs.push_back(run_sharded(instance, k, reroute));
   }
+  const RunResult base = runs.front();  // copy: the loop above reallocates
 
   std::cout << "micro_shard: " << instance.tasks.size() << " bids, "
             << config.nodes << " nodes (hybrid), horizon " << config.horizon
@@ -190,11 +142,11 @@ int main(int argc, char** argv) try {
                "p99-us    welfare  d-welfare%  rerouted\n";
   for (const RunResult& run : runs) {
     const double speedup =
-        mono.critical_throughput() > 0.0
-            ? run.critical_throughput() / mono.critical_throughput()
+        base.critical_throughput() > 0.0
+            ? run.critical_throughput() / base.critical_throughput()
             : 0.0;
     const double delta =
-        mono.welfare > 0.0 ? (run.welfare / mono.welfare - 1.0) * 100.0 : 0.0;
+        base.welfare > 0.0 ? (run.welfare / base.welfare - 1.0) * 100.0 : 0.0;
     std::printf(
         "  %-12s %7llu %12.0f %12.0f %8.2f %7.1f %10.1f %11.2f %9llu\n",
         run.label.c_str(), static_cast<unsigned long long>(run.decided),
@@ -225,14 +177,14 @@ int main(int argc, char** argv) try {
       row["critical_path_seconds"] = obs::Json(run.critical_seconds);
       row["critical_throughput_bids_per_sec"] =
           obs::Json(run.critical_throughput());
-      row["critical_speedup_vs_monolithic"] = obs::Json(
-          mono.critical_throughput() > 0.0
-              ? run.critical_throughput() / mono.critical_throughput()
+      row["critical_speedup_vs_k1"] = obs::Json(
+          base.critical_throughput() > 0.0
+              ? run.critical_throughput() / base.critical_throughput()
               : 0.0);
       row["decide_p99_sec"] = obs::Json(run.decide_p99);
       row["welfare"] = obs::Json(run.welfare);
-      row["welfare_delta_pct_vs_monolithic"] = obs::Json(
-          mono.welfare > 0.0 ? (run.welfare / mono.welfare - 1.0) * 100.0
+      row["welfare_delta_pct_vs_k1"] = obs::Json(
+          base.welfare > 0.0 ? (run.welfare / base.welfare - 1.0) * 100.0
                              : 0.0);
       row["admitted"] = obs::Json(static_cast<double>(run.admitted));
       row["rejected"] = obs::Json(static_cast<double>(run.rejected));

@@ -1,5 +1,5 @@
 // lorasched_cluster_leader — the leader process of the distributed control
-// plane (DESIGN.md §11). The same CLI surface as lorasched_shard_serve
+// plane (DESIGN.md §11). The same CLI surface as lorasched_serve --shards
 // (bid ingestion, slot pacing, checkpoints, metrics), but the K pdFTSP
 // shards run inside lorasched_host_agent processes reached over the binary
 // wire protocol: shard i is served by agent i mod A.
@@ -24,11 +24,10 @@
 // --trace-out writes one merged Chrome trace where each agent's decision
 // spans parent to the leader's per-round bid spans. All of it is
 // observation-only — decisions are bit-identical with everything on or off
-// (SIGUSR1 forces a --metrics-out dump, as in lorasched_shard_serve).
+// (SIGUSR1 forces a --metrics-out dump, as in lorasched_serve).
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -41,6 +40,7 @@
 
 #include "lorasched/core/online_params.h"
 #include "lorasched/experiments/scenario.h"
+#include "lorasched/io/atomic_file.h"
 #include "lorasched/io/serialize.h"
 #include "lorasched/net/firehose_ingest.h"
 #include "lorasched/net/http.h"
@@ -182,7 +182,7 @@ int main(int argc, char** argv) try {
   shard::ShardedService server(env, remote_handles, sharded_config);
 
   // Wire bid ingest (lorasched_firehose clients), same seam as
-  // lorasched_shard_serve: sequenced bids in, decisions back per
+  // lorasched_serve: sequenced bids in, decisions back per
   // connection, queue closed once every expected source ended its stream.
   const bool wire_ingest = cli.has("ingest-port");
   std::unique_ptr<net::FirehoseIngest> ingest;
@@ -210,17 +210,8 @@ int main(int argc, char** argv) try {
     server.registry().write_prometheus(text);
     if (metrics_path.empty()) {
       std::cerr << text.str();
-      return;
-    }
-    const std::string tmp = metrics_path + ".tmp";
-    {
-      std::ofstream out(tmp);
-      if (!out) throw std::runtime_error("cannot write metrics file");
-      out << text.str();
-      if (!out.flush()) throw std::runtime_error("metrics write failed");
-    }
-    if (std::rename(tmp.c_str(), metrics_path.c_str()) != 0) {
-      throw std::runtime_error("cannot replace metrics file");
+    } else {
+      io::replace_file(metrics_path, text.str());
     }
   };
   std::signal(SIGUSR1, &on_sigusr1);
@@ -349,16 +340,9 @@ int main(int argc, char** argv) try {
     server.step();
     if (!checkpoint_path.empty() && checkpoint_every > 0 &&
         server.current_slot() % checkpoint_every == 0) {
-      const std::string tmp = checkpoint_path + ".tmp";
-      {
-        std::ofstream out(tmp);
-        if (!out) throw std::runtime_error("cannot write checkpoint");
-        io::write_sharded_checkpoint(out, server.checkpoint());
-        if (!out.flush()) throw std::runtime_error("checkpoint write failed");
-      }
-      if (std::rename(tmp.c_str(), checkpoint_path.c_str()) != 0) {
-        throw std::runtime_error("cannot replace checkpoint file");
-      }
+      std::ostringstream text;
+      io::write_sharded_checkpoint(text, server.checkpoint());
+      io::replace_file(checkpoint_path, text.str());
     }
     if (g_dump_requested != 0) {
       g_dump_requested = 0;

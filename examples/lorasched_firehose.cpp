@@ -13,13 +13,13 @@
 //                            determinism check cmps two exports)
 //   --connect host:port      wire mode: one connection per source against
 //                            a serving process started with --ingest-port
-//                            (lorasched_shard_serve or
-//                            lorasched_cluster_leader)
-//   (neither)                inline mode: an in-process AdmissionService
-//                            decided with pdFTSP — the no-sockets soak the
-//                            unit tests and micro-bench build on
+//                            (lorasched_serve or lorasched_cluster_leader)
+//   (neither)                inline mode: an in-process single-shard
+//                            ShardedService decided with pdFTSP — the
+//                            no-sockets soak the unit tests and micro-bench
+//                            build on
 //
-//   ./lorasched_shard_serve --shards 4 --slot-ms 0 --ingest-port 7801
+//   ./lorasched_serve --shards 4 --slot-ms 0 --ingest-port 7801
 //       --ingest-clients 4 &
 //   ./lorasched_firehose --connect 127.0.0.1:7801 --sources 4 --rate 200
 //       --mix burst --json-out BENCH_soak.json
@@ -52,8 +52,8 @@
 #include "lorasched/loadgen/verdict.h"
 #include "lorasched/net/messages.h"
 #include "lorasched/net/transport.h"
-#include "lorasched/service/admission_service.h"
 #include "lorasched/service/slot_clock.h"
+#include "lorasched/shard/sharded_service.h"
 #include "lorasched/util/cli.h"
 
 using namespace lorasched;
@@ -224,11 +224,11 @@ int run_wire(const std::vector<SourceStream>& streams,
 int run_inline(const std::vector<SourceStream>& streams, const Instance& env,
                std::chrono::milliseconds slot_period, std::size_t queue_cap,
                const std::string& json_out, bool quiet) {
-  Pdftsp policy(pdftsp_config_for(env), env.cluster, env.energy, env.horizon);
-  service::ServiceConfig sc;
+  shard::ShardedConfig sc;
   sc.queue_capacity = queue_cap;
   sc.late_bids = service::LateBidMode::kClamp;
-  service::AdmissionService server(env, policy, sc);
+  shard::ShardedService server(
+      env, shard::make_pdftsp_factory(pdftsp_config_for(env)), sc);
   loadgen::SoakMetrics soak;
   server.add_subscriber(&soak);
 

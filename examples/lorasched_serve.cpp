@@ -1,30 +1,41 @@
-// lorasched_serve — the long-running admission daemon.
+// lorasched_serve — the in-process admission daemon (DESIGN.md §6, §10).
 //
-// Reads line-delimited bids (io::format_bid_line records) from stdin or a
-// file, streams them into an AdmissionService over the scenario's cluster,
-// and decides each slot on a configurable slot period (replay speed). The
-// service can checkpoint every N slots and resume from a checkpoint file,
-// so a killed daemon continues mid-horizon with bit-identical decisions.
+// Reads line-delimited bids (io::format_bid_line records) from stdin, a
+// file, or the wire (--ingest-port), streams them into a ShardedService
+// over the scenario's cluster, and decides each slot on a configurable slot
+// period (replay speed). --shards 1 (the default) is the paper's single
+// online auction, decided inline on the slot-loop thread; --shards K
+// partitions the fleet into K pdFTSP shards behind a price-aware router
+// with second-chance re-routing of rejected bids. The service can
+// checkpoint every N slots and resume from a checkpoint file, so a killed
+// daemon continues mid-horizon with bit-identical decisions.
 //
 //   ./lorasched_feed --export bids.txt
 //   ./lorasched_serve --bids bids.txt --slot-ms 0 --out outcomes.csv
 //   ./lorasched_feed --slot-ms 100 | ./lorasched_serve --slot-ms 100
+//   ./lorasched_serve --bids bids.txt --shards 4 --slot-ms 0
 //   ./lorasched_serve --bids bids.txt --checkpoint ck.txt --checkpoint-every 12
 //   ./lorasched_serve --bids bids.txt --resume ck.txt
+//
+// A checkpoint pins the shard count and router config; resuming under a
+// different --shards/--reroute/--router-seed is rejected rather than
+// silently diverging.
 //
 // Observability (DESIGN.md §8):
 //   --trace-out d.jsonl     per-bid decision trace (JSONL) + profiling
 //                           spans; also writes d.jsonl.chrome.json, a
-//                           Chrome trace-event timeline for Perfetto
+//                           Chrome trace-event timeline for Perfetto.
+//                           K=1 only: at K>1 the records would carry
+//                           shard-local node ids
 //   --metrics-out m.prom    Prometheus text exposition of the service
 //                           registry, rewritten every --metrics-every
 //                           slots (default 0 = only at exit) and on
 //                           SIGUSR1 (kill -USR1 <pid> for an on-demand
 //                           dump of a live daemon)
+//   --http-port P           live /metrics and /healthz on 127.0.0.1:P
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -37,11 +48,14 @@
 #include "lorasched/core/online_params.h"
 #include "lorasched/core/pdftsp.h"
 #include "lorasched/experiments/scenario.h"
+#include "lorasched/io/atomic_file.h"
 #include "lorasched/io/serialize.h"
+#include "lorasched/net/firehose_ingest.h"
+#include "lorasched/net/http.h"
 #include "lorasched/obs/span.h"
 #include "lorasched/obs/trace.h"
-#include "lorasched/service/admission_service.h"
 #include "lorasched/service/slot_clock.h"
+#include "lorasched/shard/sharded_service.h"
 #include "lorasched/util/cli.h"
 
 using namespace lorasched;
@@ -82,30 +96,49 @@ volatile std::sig_atomic_t g_dump_requested = 0;
 
 void on_sigusr1(int) { g_dump_requested = 1; }
 
-std::unique_ptr<Policy> make_policy(const std::string& name,
-                                    const Instance& instance) {
+/// One checkpointable policy per shard. pdFTSP is priced for the full
+/// scenario (the α/β/κ bounds depend on the bid population, not the
+/// partition). A non-null `tracer` is attached to every policy built.
+shard::PolicyFactory make_policy_factory(const std::string& name,
+                                         const Instance& env,
+                                         obs::DecisionTracer* tracer) {
+  shard::PolicyFactory build;
   if (name == "pdFTSP") {
-    return std::make_unique<Pdftsp>(pdftsp_config_for(instance),
-                                    instance.cluster, instance.energy,
-                                    instance.horizon);
+    build = shard::make_pdftsp_factory(pdftsp_config_for(env));
+  } else if (name == "pdFTSP-adaptive") {
+    build = [](const Cluster& cluster, const EnergyModel& energy,
+               Slot horizon) -> std::unique_ptr<Policy> {
+      return std::make_unique<AdaptivePdftsp>(OnlineParamEstimator::Config{},
+                                              cluster, energy, horizon);
+    };
+  } else {
+    throw std::invalid_argument("unknown (or non-checkpointable) policy: " +
+                                name);
   }
-  if (name == "pdFTSP-adaptive") {
-    return std::make_unique<AdaptivePdftsp>(OnlineParamEstimator::Config{},
-                                            instance.cluster, instance.energy,
-                                            instance.horizon);
-  }
-  throw std::invalid_argument("unknown (or non-checkpointable) policy: " +
-                              name);
+  if (tracer == nullptr) return build;
+  return [build = std::move(build), tracer](
+             const Cluster& cluster, const EnergyModel& energy,
+             Slot horizon) -> std::unique_ptr<Policy> {
+    std::unique_ptr<Policy> policy = build(cluster, energy, horizon);
+    auto* traceable = dynamic_cast<obs::Traceable*>(policy.get());
+    if (traceable == nullptr) {
+      throw std::invalid_argument("policy does not support --trace-out");
+    }
+    traceable->set_trace_sink(tracer);
+    return policy;
+  };
 }
 
 }  // namespace
 
 int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
-  cli.allow_only({"scenario", "seed", "policy", "bids", "slot-ms", "queue-cap",
+  cli.allow_only({"scenario", "seed", "policy", "shards", "reroute",
+                  "router-seed", "bids", "slot-ms", "queue-cap",
                   "backpressure", "late", "checkpoint", "checkpoint-every",
-                  "resume", "out", "verbose", "trace-out", "metrics-out",
-                  "metrics-every"});
+                  "resume", "out", "verbose", "timing", "trace-out",
+                  "metrics-out", "metrics-every", "http-port", "ingest-port",
+                  "ingest-clients"});
 
   ScenarioConfig config;
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
@@ -115,48 +148,78 @@ int main(int argc, char** argv) try {
     config = io::read_scenario(in);
   }
   const Instance env = make_instance(config);
-  const auto policy = make_policy(cli.get("policy", "pdFTSP"), env);
 
-  service::ServiceConfig service_config;
-  service_config.queue_capacity =
+  shard::ShardedConfig sharded_config;
+  sharded_config.shards = static_cast<int>(cli.get_int("shards", 1));
+  sharded_config.reroute_attempts = static_cast<int>(cli.get_int("reroute", 1));
+  sharded_config.router_seed =
+      static_cast<std::uint64_t>(cli.get_int("router-seed", 0));
+  sharded_config.queue_capacity =
       static_cast<std::size_t>(cli.get_int("queue-cap", 4096));
+  sharded_config.time_decisions = cli.get_bool("timing", true);
   const std::string backpressure = cli.get("backpressure", "block");
   if (backpressure == "block") {
-    service_config.backpressure = service::BackpressureMode::kBlock;
+    sharded_config.backpressure = service::BackpressureMode::kBlock;
   } else if (backpressure == "reject") {
-    service_config.backpressure = service::BackpressureMode::kReject;
+    sharded_config.backpressure = service::BackpressureMode::kReject;
   } else {
     throw std::invalid_argument("backpressure must be block|reject");
   }
   const std::string late = cli.get("late", "clamp");
   if (late == "clamp") {
-    service_config.late_bids = service::LateBidMode::kClamp;
+    sharded_config.late_bids = service::LateBidMode::kClamp;
   } else if (late == "reject") {
-    service_config.late_bids = service::LateBidMode::kReject;
+    sharded_config.late_bids = service::LateBidMode::kReject;
   } else {
     throw std::invalid_argument("late must be clamp|reject");
   }
 
-  service::AdmissionService server(env, *policy, service_config);
-  LogSubscriber log(cli.get_bool("verbose", false));
-  server.add_subscriber(&log);
-
-  // Observability: decision trace (JSONL + Chrome trace) and metrics dumps.
+  // Decision trace (JSONL + Chrome trace). Declared before the service so
+  // the policies holding the sink are destroyed first.
   const std::string trace_path = cli.get("trace-out", "");
   std::ofstream trace_stream;
   std::unique_ptr<obs::DecisionTracer> tracer;
-  obs::Traceable* traceable = nullptr;
   if (!trace_path.empty()) {
-    traceable = dynamic_cast<obs::Traceable*>(policy.get());
-    if (traceable == nullptr) {
-      throw std::invalid_argument("policy does not support --trace-out");
+    if (sharded_config.shards != 1) {
+      throw std::invalid_argument(
+          "--trace-out needs --shards 1 (shard traces carry shard-local "
+          "node ids)");
     }
     trace_stream.open(trace_path);
     if (!trace_stream) throw std::runtime_error("cannot open trace file");
     tracer = std::make_unique<obs::DecisionTracer>(&trace_stream);
-    traceable->set_trace_sink(tracer.get());
     obs::Profiler::instance().set_enabled(true);
     obs::Profiler::instance().set_timeline(true);
+  }
+
+  shard::ShardedService server(
+      env, make_policy_factory(cli.get("policy", "pdFTSP"), env, tracer.get()),
+      sharded_config);
+  LogSubscriber log(cli.get_bool("verbose", false));
+  server.add_subscriber(&log);
+
+  // Wire bid ingest (lorasched_firehose clients): sequenced bids arrive as
+  // kBidSubmit frames and decisions stream back per connection. Once every
+  // expected source ends its stream, the quiesce callback closes the queue
+  // — so the local feeder must NOT close it when wire ingest is active.
+  const bool wire_ingest = cli.has("ingest-port");
+  std::unique_ptr<net::FirehoseIngest> ingest;
+  std::unique_ptr<net::IngestSubscriber> ingest_sub;
+  if (wire_ingest) {
+    net::FirehoseIngest::Config ingest_config;
+    ingest_config.port =
+        static_cast<std::uint16_t>(cli.get_int("ingest-port", 0));
+    ingest_config.expected_streams =
+        static_cast<int>(cli.get_int("ingest-clients", 1));
+    ingest_config.metrics = &server.registry();
+    ingest = std::make_unique<net::FirehoseIngest>(
+        ingest_config, [&server](const Task& bid) { return server.submit(bid); },
+        [&server] { server.close(); });
+    ingest_sub = std::make_unique<net::IngestSubscriber>(*ingest);
+    server.add_subscriber(ingest_sub.get());
+    std::cerr << "bid ingest on 127.0.0.1:" << ingest->port()
+              << " (expecting " << ingest_config.expected_streams
+              << " stream(s))\n";
   }
 
   const std::string metrics_path = cli.get("metrics-out", "");
@@ -167,21 +230,33 @@ int main(int argc, char** argv) try {
     server.registry().write_prometheus(text);
     if (metrics_path.empty()) {
       std::cerr << text.str();
-      return;
-    }
-    // Write-then-rename, same as checkpoints: a scraper never reads a
-    // half-written exposition.
-    const std::string tmp = metrics_path + ".tmp";
-    {
-      std::ofstream out(tmp);
-      if (!out) throw std::runtime_error("cannot write metrics file");
-      out << text.str();
-      if (!out.flush()) throw std::runtime_error("metrics write failed");
-    }
-    if (std::rename(tmp.c_str(), metrics_path.c_str()) != 0) {
-      throw std::runtime_error("cannot replace metrics file");
+    } else {
+      // A scraper never reads a half-written exposition.
+      io::replace_file(metrics_path, text.str());
     }
   };
+
+  std::unique_ptr<net::HttpServer> http;
+  if (cli.has("http-port")) {
+    http = std::make_unique<net::HttpServer>(
+        static_cast<std::uint16_t>(cli.get_int("http-port", 0)));
+    http->handle("/metrics", [&server] {
+      std::ostringstream text;
+      server.registry().write_prometheus(text);
+      return net::HttpResponse{200, "text/plain; version=0.0.4; charset=utf-8",
+                               text.str()};
+    });
+    http->handle("/healthz", [&server] {
+      std::ostringstream text;
+      text << "status: serving\n"
+           << "shards: " << server.shard_count() << "\n"
+           << "queue_depth: " << server.queue().depth() << "\n";
+      return net::HttpResponse{200, "text/plain; charset=utf-8", text.str()};
+    });
+    http->start();
+    std::cerr << "http endpoint on 127.0.0.1:" << http->port()
+              << " (/metrics /healthz)\n";
+  }
 
   // Bids the checkpoint already accounts for (decided or still pending);
   // the feeder skips them so replaying the same bid file after a resume
@@ -190,57 +265,59 @@ int main(int argc, char** argv) try {
   if (cli.has("resume")) {
     std::ifstream in(cli.get("resume", ""));
     if (!in) throw std::runtime_error("cannot open resume checkpoint");
-    const service::Checkpoint snapshot = io::read_checkpoint(in);
+    const shard::ShardedCheckpoint snapshot = io::read_sharded_checkpoint(in);
     for (const TaskOutcome& outcome : snapshot.outcomes) {
       already_known.insert(outcome.task);
     }
     for (const Task& task : snapshot.pending) already_known.insert(task.id);
     server.restore(snapshot);
     std::cerr << "resumed at slot " << server.current_slot() << "/"
-              << server.horizon() << " (" << already_known.size()
+              << server.horizon() << " across " << server.shard_count()
+              << " shard(s) (" << already_known.size()
               << " bids already ingested)\n";
   }
 
-  // Ingestion thread: stdin or a bid file, one bid per line.
-  std::atomic<std::uint64_t> fed{0};
+  // Ingestion thread: stdin or a bid file, one bid per line. With wire
+  // ingest and no --bids file there is nothing to feed locally — stdin is
+  // not consumed.
   std::atomic<std::uint64_t> shed{0};
-  std::thread feeder([&] {
-    std::ifstream file;
-    const std::string bids = cli.get("bids", "-");
-    std::istream* in = &std::cin;
-    if (bids != "-") {
-      file.open(bids);
-      if (!file) {
-        std::cerr << "error: cannot open bids file " << bids << "\n";
-        server.close();
-        return;
+  std::thread feeder;
+  if (!wire_ingest || cli.has("bids")) {
+    feeder = std::thread([&] {
+      std::ifstream file;
+      const std::string bids = cli.get("bids", "-");
+      std::istream* in = &std::cin;
+      if (bids != "-") {
+        file.open(bids);
+        if (!file) {
+          std::cerr << "error: cannot open bids file " << bids << "\n";
+          if (!wire_ingest) server.close();
+          return;
+        }
+        in = &file;
       }
-      in = &file;
-    }
-    std::string line;
-    while (std::getline(*in, line)) {
-      if (line.empty() || line.front() == '#') continue;
-      Task bid;
-      try {
-        bid = io::parse_bid_line(line);
-      } catch (const std::exception& e) {
-        // One garbled line must not take the daemon down.
-        std::cerr << "skipping malformed bid line: " << e.what() << "\n";
-        shed.fetch_add(1);
-        continue;
+      std::string line;
+      while (std::getline(*in, line)) {
+        if (line.empty() || line.front() == '#') continue;
+        Task bid;
+        try {
+          bid = io::parse_bid_line(line);
+        } catch (const std::exception& e) {
+          // One garbled line must not take the daemon down.
+          std::cerr << "skipping malformed bid line: " << e.what() << "\n";
+          shed.fetch_add(1);
+          continue;
+        }
+        if (already_known.count(bid.id) != 0) continue;
+        if (server.submit(bid) != service::SubmitResult::kAccepted) {
+          shed.fetch_add(1);
+        }
       }
-      if (already_known.count(bid.id) != 0) continue;
-      const auto result = server.submit(bid);
-      if (result == service::SubmitResult::kAccepted) {
-        fed.fetch_add(1);
-      } else {
-        shed.fetch_add(1);
-      }
-    }
-    server.close();
-  });
+      if (!wire_ingest) server.close();
+    });
+  }
 
-  // Slot loop (consumer thread = main), with periodic checkpoints.
+  // Slot loop (leader thread = main), with periodic checkpoints.
   const auto slot_period =
       std::chrono::milliseconds(cli.get_int("slot-ms", 0));
   // slot-ms 0 is offline replay: ingest the whole stream first, then decide
@@ -250,13 +327,14 @@ int main(int argc, char** argv) try {
   // feeder.join() would deadlock once the bid file outgrows --queue-cap
   // under the default block backpressure (the feeder waits for a drain
   // that join() prevents), so pump the queue into the service while the
-  // feeder runs — pump() absorbs bids without deciding anything.
+  // feeder runs — pump() absorbs bids without deciding anything. Under
+  // wire ingest the queue closes when every source ended its stream.
   if (slot_period.count() == 0) {
     while (!server.queue().closed() || server.queue().depth() != 0) {
       server.queue().wait_available();
       server.pump();
     }
-    feeder.join();
+    if (feeder.joinable()) feeder.join();
   }
   const auto checkpoint_every = cli.get_int("checkpoint-every", 0);
   const std::string checkpoint_path = cli.get("checkpoint", "");
@@ -266,18 +344,10 @@ int main(int argc, char** argv) try {
     server.step();
     if (!checkpoint_path.empty() && checkpoint_every > 0 &&
         server.current_slot() % checkpoint_every == 0) {
-      // Write-then-rename so a kill mid-write never leaves a truncated
-      // checkpoint behind — the previous complete one survives.
-      const std::string tmp = checkpoint_path + ".tmp";
-      {
-        std::ofstream out(tmp);
-        if (!out) throw std::runtime_error("cannot write checkpoint");
-        io::write_checkpoint(out, server.checkpoint());
-        if (!out.flush()) throw std::runtime_error("checkpoint write failed");
-      }
-      if (std::rename(tmp.c_str(), checkpoint_path.c_str()) != 0) {
-        throw std::runtime_error("cannot replace checkpoint file");
-      }
+      // A kill mid-write leaves the previous complete checkpoint behind.
+      std::ostringstream text;
+      io::write_sharded_checkpoint(text, server.checkpoint());
+      io::replace_file(checkpoint_path, text.str());
     }
     if (g_dump_requested != 0) {
       g_dump_requested = 0;
@@ -288,25 +358,29 @@ int main(int argc, char** argv) try {
     }
   }
   if (feeder.joinable()) feeder.join();
+  // Flush tail decisions to firehose clients before tearing the links down.
+  if (ingest) ingest->stop();
 
   const auto ops = server.metrics();
+  const std::uint64_t rerouted = server.rerouted_bids();
+  const std::uint64_t recovered = server.reroute_admits();
   const SimResult result = server.finish();
-  std::cerr << "served " << fed.load() << " bids (" << shed.load()
-            << " shed), welfare " << result.metrics.social_welfare
-            << "$, admitted " << result.metrics.admitted << "/"
+  // Decided bids, whatever fed them: the --bids file, wire ingest, or both.
+  std::cerr << "served " << result.metrics.admitted + result.metrics.rejected
+            << " bids (" << shed.load() << " shed) on "
+            << server.shard_count() << " shard(s), welfare "
+            << result.metrics.social_welfare << "$, admitted "
+            << result.metrics.admitted << "/"
             << (result.metrics.admitted + result.metrics.rejected)
-            << ", ingest " << ops.ingest_rate << " bids/s, decide p50 "
-            << ops.decide_p50 * 1e6 << "us p99 " << ops.decide_p99 * 1e6
-            << "us\n";
+            << ", rerouted " << rerouted << " (" << recovered
+            << " admitted on a second chance), ingest " << ops.ingest_rate
+            << " bids/s, decide p50 " << ops.decide_p50 * 1e6 << "us p99 "
+            << ops.decide_p99 * 1e6 << "us\n";
 
   if (!metrics_path.empty() || metrics_every > 0 || g_dump_requested != 0) {
     dump_metrics();
   }
   if (tracer != nullptr) {
-    // Detach the sink before anything else: the tracer and trace_stream
-    // are declared after policy/server, so they are destroyed first at
-    // scope exit — the policy must not hold the pointer past this point.
-    traceable->set_trace_sink(nullptr);
     tracer->flush();
     trace_stream.close();
     std::ofstream chrome(trace_path + ".chrome.json");

@@ -1,6 +1,6 @@
 // Fuzz harness: checkpoint deserialization and write/read round trip.
 //
-// Contract under test (io/serialize.h): read_checkpoint throws
+// Contract under test (io/serialize.h): read_sharded_checkpoint throws
 // std::invalid_argument on any malformed or truncated stream — never a
 // different exception, never an unbounded allocation, never a crash. Any
 // checkpoint it does accept must be stable under write -> read -> write:
@@ -14,14 +14,14 @@
 #include <string>
 
 #include "lorasched/io/serialize.h"
-#include "lorasched/service/checkpoint.h"
+#include "lorasched/shard/sharded_checkpoint.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   std::istringstream in(std::string(reinterpret_cast<const char*>(data), size));
-  lorasched::service::Checkpoint checkpoint;
+  lorasched::shard::ShardedCheckpoint checkpoint;
   try {
-    checkpoint = lorasched::io::read_checkpoint(in);
+    checkpoint = lorasched::io::read_sharded_checkpoint(in);
   } catch (const std::invalid_argument&) {
     return 0;  // the documented failure mode for malformed input
   }
@@ -29,12 +29,12 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   // From here on every exception is a serializer bug: our own writer's
   // output must always be readable. Let anything thrown escape and crash.
   std::ostringstream first;
-  lorasched::io::write_checkpoint(first, checkpoint);
+  lorasched::io::write_sharded_checkpoint(first, checkpoint);
   std::istringstream back(first.str());
-  const lorasched::service::Checkpoint reread =
-      lorasched::io::read_checkpoint(back);
+  const lorasched::shard::ShardedCheckpoint reread =
+      lorasched::io::read_sharded_checkpoint(back);
   std::ostringstream second;
-  lorasched::io::write_checkpoint(second, reread);
+  lorasched::io::write_sharded_checkpoint(second, reread);
   if (first.str() != second.str()) {
     std::fprintf(stderr, "checkpoint round-trip not byte-stable\n");
     std::abort();

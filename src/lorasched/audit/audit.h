@@ -3,12 +3,13 @@
 //
 // The auditor is a process-wide registry of invariant checks hooked into the
 // core policy, CapacityLedger, ScheduleDp, the simulation engine, and the
-// AdmissionService. The hooks are compile-time gated: they exist only when
-// the library is built with -DLORASCHED_AUDIT=ON (which defines the
-// LORASCHED_AUDIT macro), so production builds pay nothing — not even a
-// branch. The check *implementations* are always compiled, which keeps them
-// honest under clang-tidy/-Werror in every configuration and lets the fuzz
-// harnesses and unit tests drive them directly in non-audit builds.
+// serving stack's ShardRunner. The hooks are compile-time gated: they
+// exist only when the library is built with -DLORASCHED_AUDIT=ON (which
+// defines the LORASCHED_AUDIT macro), so production builds pay nothing —
+// not even a branch. The check *implementations* are always compiled,
+// which keeps them honest under clang-tidy/-Werror in every configuration
+// and lets the fuzz harnesses and unit tests drive them directly in
+// non-audit builds.
 //
 // Invariant catalogue (equation references are to the source paper):
 //   (a) eq. (7)/(8)  — dual prices λ_kt/φ_kt are non-decreasing and follow

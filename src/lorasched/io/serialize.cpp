@@ -148,8 +148,6 @@ void write_scenario(std::ostream& out, const ScenarioConfig& config) {
 
 namespace {
 
-constexpr const char* kCheckpointMagic = "lorasched-checkpoint";
-constexpr int kCheckpointVersion = 1;
 constexpr const char* kShardedCheckpointMagic = "lorasched-sharded-checkpoint";
 constexpr int kShardedCheckpointVersion = 1;
 
@@ -297,9 +295,7 @@ void write_schedule_record(std::ostream& out, const Schedule& s) {
   out << '\n';
 }
 
-// Section helpers shared by the monolithic and sharded checkpoint formats;
-// each emits/consumes exactly the labeled lines the v1 monolithic format
-// defined, so refactoring did not change a byte on disk.
+// Section helpers of the checkpoint format.
 
 void write_ledger_section(std::ostream& out,
                           const CapacityLedger::Snapshot& ledger) {
@@ -382,68 +378,6 @@ Schedule read_schedule_record(std::istream& in) {
 }
 
 }  // namespace
-
-void write_checkpoint(std::ostream& out,
-                      const service::Checkpoint& checkpoint) {
-  const auto saved_precision = out.precision(17);
-  out << kCheckpointMagic << ' ' << kCheckpointVersion << '\n';
-  out << "next_slot " << checkpoint.next_slot << '\n';
-  out << "horizon " << checkpoint.horizon << '\n';
-  out << "booked_compute " << checkpoint.booked_compute << '\n';
-  out << "policy_state ";
-  write_doubles(out, checkpoint.policy_state);
-
-  write_ledger_section(out, checkpoint.ledger);
-
-  out << "pending " << checkpoint.pending.size() << '\n';
-  for (const Task& t : checkpoint.pending) write_task_record(out, t);
-  out << "outcomes " << checkpoint.outcomes.size() << '\n';
-  for (const TaskOutcome& o : checkpoint.outcomes) write_outcome_record(out, o);
-  out << "schedules " << checkpoint.schedules.size() << '\n';
-  for (const Schedule& s : checkpoint.schedules) write_schedule_record(out, s);
-
-  write_metrics_section(out, checkpoint.metrics);
-  out << "end\n";
-  out.precision(saved_precision);
-}
-
-service::Checkpoint read_checkpoint(std::istream& in) {
-  read_header(in, kCheckpointMagic, kCheckpointVersion, "checkpoint");
-  service::Checkpoint cp;
-  expect_token(in, "next_slot");
-  cp.next_slot = read_value<Slot>(in, "next_slot");
-  expect_token(in, "horizon");
-  cp.horizon = read_value<Slot>(in, "horizon");
-  expect_token(in, "booked_compute");
-  cp.booked_compute = read_value<double>(in, "booked_compute");
-  expect_token(in, "policy_state");
-  cp.policy_state = read_doubles(in, "policy_state");
-
-  cp.ledger = read_ledger_section(in);
-
-  expect_token(in, "pending");
-  const auto pending = read_count(in, "pending count");
-  cp.pending.reserve(pending);
-  for (std::size_t i = 0; i < pending; ++i) {
-    cp.pending.push_back(read_task_record(in));
-  }
-  expect_token(in, "outcomes");
-  const auto outcomes = read_count(in, "outcome count");
-  cp.outcomes.reserve(outcomes);
-  for (std::size_t i = 0; i < outcomes; ++i) {
-    cp.outcomes.push_back(read_outcome_record(in));
-  }
-  expect_token(in, "schedules");
-  const auto schedules = read_count(in, "schedule count");
-  cp.schedules.reserve(schedules);
-  for (std::size_t i = 0; i < schedules; ++i) {
-    cp.schedules.push_back(read_schedule_record(in));
-  }
-
-  cp.metrics = read_metrics_section(in);
-  expect_token(in, "end");
-  return cp;
-}
 
 void write_sharded_checkpoint(std::ostream& out,
                               const shard::ShardedCheckpoint& checkpoint) {

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "lorasched/experiments/scenario.h"
-#include "lorasched/service/checkpoint.h"
 #include "lorasched/shard/sharded_checkpoint.h"
 #include "lorasched/sim/metrics.h"
 #include "lorasched/workload/task.h"
@@ -49,18 +48,11 @@ void write_scenario(std::ostream& out, const ScenarioConfig& config);
 [[nodiscard]] Task parse_bid_line(const std::string& line);
 
 // --- Service checkpoints ----------------------------------------------------
-// Text round-trip of a service::Checkpoint with full double precision
-// (17 significant digits), so a restored service resumes bit-identically.
-
-void write_checkpoint(std::ostream& out, const service::Checkpoint& checkpoint);
-/// Throws std::invalid_argument on a malformed or truncated checkpoint.
-[[nodiscard]] service::Checkpoint read_checkpoint(std::istream& in);
-
-// --- Sharded-service checkpoints --------------------------------------------
-// Same text discipline for a shard::ShardedCheckpoint: one labeled section
-// per shard (bookings, policy dump, ledger grids), then the service-level
-// decision log. Full double precision, so restore + resume is
-// bit-identical.
+// The one checkpoint format: a text round-trip of a shard::ShardedCheckpoint
+// with one labeled section per shard (bookings, policy dump, ledger grids),
+// then the service-level decision log. A single-shard service writes one
+// shard section. Full double precision (17 significant digits), so restore
+// + resume is bit-identical.
 
 void write_sharded_checkpoint(std::ostream& out,
                               const shard::ShardedCheckpoint& checkpoint);

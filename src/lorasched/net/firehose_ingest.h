@@ -8,9 +8,9 @@
 //     send stamp) *before* submitting — the service's consumer thread may
 //     decide the bid concurrently with the submit returning;
 //  2. submits the task through the injected submit function (usually
-//     AdmissionService::submit or ShardedService::submit). A rejected
-//     submit (queue full / closed) un-parks the entry and answers the
-//     client immediately with a shed decision.
+//     ShardedService::submit). A rejected submit (queue full / closed)
+//     un-parks the entry and answers the client immediately with a shed
+//     decision.
 // The serving tool forwards its DecisionSubscriber callbacks into
 // on_decision(), which resolves the pending entry and ships the
 // kBidDecision back on the submitting client's connection.
@@ -138,9 +138,9 @@ class FirehoseIngest {
 };
 
 /// DecisionSubscriber adapter: forwards a service's decision callbacks into
-/// FirehoseIngest::on_decision. Register it on the serving AdmissionService
-/// or ShardedService alongside the tool's other subscribers; all callbacks
-/// run on the consumer thread, so the decided-slot tracking needs no lock.
+/// FirehoseIngest::on_decision. Register it on the serving ShardedService
+/// alongside the tool's other subscribers; all callbacks run on the
+/// consumer thread, so the decided-slot tracking needs no lock.
 class IngestSubscriber final : public service::DecisionSubscriber {
  public:
   explicit IngestSubscriber(FirehoseIngest& ingest) : ingest_(ingest) {}

@@ -170,9 +170,9 @@ double HistogramSnapshot::percentile(double p) const {
   return max_seen;
 }
 
-MetricsRegistry::Entry& MetricsRegistry::find_or_insert(std::string_view name,
-                                                        std::string_view help,
-                                                        MetricKind kind) {
+MetricsRegistry::Entry& MetricsRegistry::find_or_insert(
+    std::string_view name, std::string_view help, MetricKind kind,
+    const HistogramOptions& options) {
   if (!valid_metric_name(name)) {
     throw std::invalid_argument("invalid metric name: " + std::string(name));
   }
@@ -186,33 +186,41 @@ MetricsRegistry::Entry& MetricsRegistry::find_or_insert(std::string_view name,
     }
     return *it->second;
   }
-  Entry& entry = entries_.emplace_back();
+  // The metric is built before the entry is published, all under mutex_:
+  // snapshot() never sees an entry without its metric, and two racing
+  // registrations of one name get the same instance.
+  Entry entry;
   entry.name = std::string(name);
   entry.help = std::string(help);
   entry.kind = kind;
-  index_.emplace(entry.name, &entry);
-  return entry;
+  switch (kind) {
+    case MetricKind::kCounter:
+      entry.counter = std::make_unique<Counter>();
+      break;
+    case MetricKind::kGauge: entry.gauge = std::make_unique<Gauge>(); break;
+    case MetricKind::kHistogram:
+      entry.histogram = std::make_unique<Histogram>(options);
+      break;
+  }
+  Entry& stored = entries_.emplace_back(std::move(entry));
+  index_.emplace(stored.name, &stored);
+  return stored;
 }
 
 Counter& MetricsRegistry::counter(std::string_view name,
                                   std::string_view help) {
-  Entry& entry = find_or_insert(name, help, MetricKind::kCounter);
-  if (!entry.counter) entry.counter = std::make_unique<Counter>();
-  return *entry.counter;
+  return *find_or_insert(name, help, MetricKind::kCounter, {}).counter;
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name, std::string_view help) {
-  Entry& entry = find_or_insert(name, help, MetricKind::kGauge);
-  if (!entry.gauge) entry.gauge = std::make_unique<Gauge>();
-  return *entry.gauge;
+  return *find_or_insert(name, help, MetricKind::kGauge, {}).gauge;
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name,
                                       HistogramOptions options,
                                       std::string_view help) {
-  Entry& entry = find_or_insert(name, help, MetricKind::kHistogram);
-  if (!entry.histogram) entry.histogram = std::make_unique<Histogram>(options);
-  return *entry.histogram;
+  return *find_or_insert(name, help, MetricKind::kHistogram, options)
+              .histogram;
 }
 
 std::vector<MetricSnapshot> MetricsRegistry::snapshot() const {

@@ -174,8 +174,13 @@ class MetricsRegistry {
     std::unique_ptr<Histogram> histogram;
   };
 
+  /// Get-or-create under mutex_: a new entry is published only with its
+  /// metric built (`options` is read for histograms only). Entries and
+  /// their metrics are never mutated afterwards, so the returned reference
+  /// is safe to read unlocked.
   Entry& find_or_insert(std::string_view name, std::string_view help,
-                        MetricKind kind) REQUIRES(mutex_);
+                        MetricKind kind, const HistogramOptions& options)
+      EXCLUDES(mutex_);
 
   mutable util::Mutex mutex_;
   std::deque<Entry> entries_ GUARDED_BY(mutex_);  // stable addresses

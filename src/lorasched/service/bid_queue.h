@@ -30,13 +30,24 @@ enum class BackpressureMode {
   kReject,
 };
 
+/// What to do with a bid whose arrival slot already passed when the
+/// consumer drains it (a producer outran by the slot clock).
+enum class LateBidMode {
+  /// Reject it at ingestion: it gets a rejected TaskOutcome and an
+  /// on_rejected callback, but never reaches the policy.
+  kReject,
+  /// Re-stamp its arrival to the current slot and auction it normally
+  /// (deadline unchanged, so hopeless bids still price out).
+  kClamp,
+};
+
 enum class SubmitResult {
   kAccepted,
   /// Queue at capacity under BackpressureMode::kReject.
   kRejectedFull,
   /// close() was called; no further bids are accepted.
   kRejectedClosed,
-  /// The bid's arrival slot already passed (AdmissionService, kReject mode).
+  /// The bid's arrival slot already passed (LateBidMode::kReject).
   kRejectedLate,
 };
 

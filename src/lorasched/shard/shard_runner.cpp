@@ -25,10 +25,12 @@ ShardRunner::ShardRunner(int shard_id, const Cluster& fleet,
                          std::vector<NodeId> members, const EnergyModel& energy,
                          const Marketplace& market, Slot horizon,
                          const PolicyFactory& factory, PriceBoard& board,
-                         std::size_t inbox_capacity, bool time_decisions)
+                         std::size_t inbox_capacity, bool time_decisions,
+                         bool sole_shard)
     : shard_id_(shard_id),
       horizon_(horizon),
       time_decisions_(time_decisions),
+      sole_shard_(sole_shard),
       to_global_(std::move(members)),
       cluster_(ShardPlanner::sub_cluster(fleet, to_global_)),
       energy_(energy),
@@ -45,7 +47,7 @@ ShardRunner::ShardRunner(int shard_id, const Cluster& fleet,
   for (const NodeId g : to_global_) {
     global_class_of_local_.push_back(fleet.node_class(g));
   }
-  worker_ = std::thread(&ShardRunner::thread_main, this);
+  if (!sole_shard_) worker_ = std::thread(&ShardRunner::thread_main, this);
 }
 
 ShardRunner::~ShardRunner() {
@@ -79,12 +81,18 @@ void ShardRunner::begin_round(Slot slot, std::size_t expected) {
     round_slot_ = slot;
     round_expected_ = expected;
     round_done_ = false;
+    batch_.clear();
     command_ = Command::kDecide;
   }
   command_cv_.notify_one();
 }
 
 void ShardRunner::offer(Task bid) {
+  if (sole_shard_) {
+    util::MutexLock lock(mutex_);
+    batch_.push_back(std::move(bid));
+    return;
+  }
   const service::SubmitResult result = inbox_.submit(std::move(bid));
   if (result != service::SubmitResult::kAccepted) {
     throw std::logic_error("shard inbox refused a bid mid-round");
@@ -93,6 +101,14 @@ void ShardRunner::offer(Task bid) {
 
 const std::vector<ShardRunner::RoundResult>& ShardRunner::wait_round() {
   util::MutexLock lock(mutex_);
+  if (sole_shard_) {
+    if (command_ != Command::kDecide) {
+      throw std::logic_error("no shard round armed");
+    }
+    command_ = Command::kIdle;
+    decide_round();  // a throw reaches the caller directly
+    return results_;
+  }
   while (!round_done_) done_cv_.wait(lock);
   if (round_error_ != nullptr) {
     const std::exception_ptr error = std::exchange(round_error_, nullptr);
@@ -106,15 +122,17 @@ void ShardRunner::thread_main() {
     util::MutexLock lock(mutex_);
     while (command_ == Command::kIdle) command_cv_.wait(lock);
     if (command_ == Command::kStop) return;
-    const Slot slot = round_slot_;
-    const std::size_t expected = round_expected_;
     // The round runs with mutex_ held (see the header's lock-discipline
     // note): the leader only touches the inbox while a round is in
     // flight, so this serializes decision state against parked-state
     // accessors without ever blocking the offer path.
     std::exception_ptr error;
     try {
-      decide_round(slot, expected);
+      while (batch_.size() < round_expected_) {
+        inbox_.wait_available();
+        for (Task& bid : inbox_.drain()) batch_.push_back(std::move(bid));
+      }
+      decide_round();
     } catch (...) {
       error = std::current_exception();
     }
@@ -126,21 +144,17 @@ void ShardRunner::thread_main() {
   }
 }
 
-void ShardRunner::decide_round(Slot slot, std::size_t expected) {
+void ShardRunner::decide_round() {
   LORASCHED_SPAN("shard/decide");
-  std::vector<Task> batch;
-  batch.reserve(expected);
-  while (batch.size() < expected) {
-    inbox_.wait_available();
-    for (Task& bid : inbox_.drain()) batch.push_back(std::move(bid));
-  }
-  if (batch.size() != expected) {
-    throw std::logic_error("shard inbox over-fed (leader protocol bug)");
+  const Slot slot = round_slot_;
+  const std::vector<Task>& batch = batch_;
+  if (batch.size() != round_expected_) {
+    throw std::logic_error("shard round mis-fed (leader protocol bug)");
   }
 
   const SlotContext ctx{slot, batch, cluster_, energy_, market_, ledger_};
   const util::Stopwatch watch;
-  const std::vector<Decision> decisions = policy_->on_slot(ctx);
+  std::vector<Decision> decisions = policy_->on_slot(ctx);
   const double batch_seconds = watch.seconds();
   if (decisions.size() != batch.size()) {
     throw std::logic_error("policy returned wrong number of decisions");
@@ -170,7 +184,7 @@ void ShardRunner::decide_round(Slot slot, std::size_t expected) {
     }
     RoundResult result;
     result.task = task;
-    result.decision = d;
+    result.decision = std::move(decisions[i]);
     result.decide_seconds = per_task_seconds;
     results_.push_back(std::move(result));
   }
@@ -179,7 +193,7 @@ void ShardRunner::decide_round(Slot slot, std::size_t expected) {
   audit::check_ledger_totals(ledger_, booked_);
 #endif
 
-  publish_locked(slot + 1);
+  if (!sole_shard_) publish_locked(slot + 1);
 }
 
 void ShardRunner::publish(Slot from) {

@@ -7,8 +7,14 @@
 //
 //   leader:  begin_round(slot, n)  →  offer() × n  →  wait_round()
 //   runner:  drain inbox until n bids collected → policy->on_slot(batch)
-//            → validate/book exactly like AdmissionService::decide_batch
+//            → validate/book exactly like run_simulation
 //            → publish fresh price summary → park
+//
+// A fleet's sole shard (K=1) runs inline instead: it starts no thread,
+// offer() appends to the round's batch, and wait_round() decides on the
+// caller's thread. It publishes no prices either — the router never ranks a
+// single shard, so nothing reads them. K=1 thus costs what one policy call
+// per slot costs, with no thread handoff and no O(nodes × slots) summary.
 //
 // begin_round() is called *before* the bids are fed, so a batch larger than
 // the inbox capacity cannot deadlock: the runner is already draining while
@@ -71,11 +77,13 @@ class ShardRunner : public ShardHandle {
 
   /// `members` are the shard's global node ids (ascending); the runner
   /// copies their profiles into a private sub-cluster. `board` outlives the
-  /// runner; the runner publishes to entry `shard_id` only.
+  /// runner; the runner publishes to entry `shard_id` only. `sole_shard`
+  /// selects the inline K=1 mode (see the file comment).
   ShardRunner(int shard_id, const Cluster& fleet, std::vector<NodeId> members,
               const EnergyModel& energy, const Marketplace& market,
               Slot horizon, const PolicyFactory& factory, PriceBoard& board,
-              std::size_t inbox_capacity, bool time_decisions);
+              std::size_t inbox_capacity, bool time_decisions,
+              bool sole_shard = false);
   ~ShardRunner();
 
   ShardRunner(const ShardRunner&) = delete;
@@ -110,12 +118,13 @@ class ShardRunner : public ShardHandle {
   /// Feeds one bid into the armed round's inbox. May block briefly when the
   /// inbox is full — the runner is draining concurrently, so it always
   /// makes progress. Takes only the inbox's internal lock, never mutex_
-  /// (the worker holds mutex_ for the whole round).
-  void offer(Task bid) override;
+  /// (the worker holds mutex_ for the whole round). A sole shard appends to
+  /// the round's batch under the uncontended mutex_ instead.
+  void offer(Task bid) override EXCLUDES(mutex_);
 
   /// Blocks until the armed round completes; returns one result per offered
   /// bid, in offer order. The reference stays valid until the next
-  /// begin_round().
+  /// begin_round(). A sole shard decides the round right here.
   [[nodiscard]] const std::vector<RoundResult>& wait_round() override
       EXCLUDES(mutex_);
 
@@ -159,7 +168,8 @@ class ShardRunner : public ShardHandle {
 
  private:
   void thread_main() EXCLUDES(mutex_);
-  void decide_round(Slot slot, std::size_t expected) REQUIRES(mutex_);
+  /// Decides batch_ (exactly round_expected_ bids) at round_slot_.
+  void decide_round() REQUIRES(mutex_);
   void publish_locked(Slot from) REQUIRES(mutex_);
   [[nodiscard]] std::vector<double> policy_state_locked() const
       REQUIRES(mutex_);
@@ -169,6 +179,7 @@ class ShardRunner : public ShardHandle {
   const int shard_id_;
   const Slot horizon_;
   const bool time_decisions_;
+  const bool sole_shard_;
   std::vector<NodeId> to_global_;
   std::vector<int> global_class_of_local_;  // local node -> fleet class id
   Cluster cluster_;                         // the shard's private sub-cluster
@@ -189,11 +200,13 @@ class ShardRunner : public ShardHandle {
   Slot round_slot_ GUARDED_BY(mutex_) = 0;
   std::size_t round_expected_ GUARDED_BY(mutex_) = 0;
   bool round_done_ GUARDED_BY(mutex_) = false;
+  /// The armed round's bids, in offer order.
+  std::vector<Task> batch_ GUARDED_BY(mutex_);
   /// A throw inside the round (policy/validation bug) parks here and is
   /// rethrown to the leader from wait_round().
   std::exception_ptr round_error_ GUARDED_BY(mutex_);
   std::vector<RoundResult> results_ GUARDED_BY(mutex_);
-  std::thread worker_;
+  std::thread worker_;  // not started for a sole shard
 };
 
 }  // namespace lorasched::shard

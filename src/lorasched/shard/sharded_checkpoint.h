@@ -1,7 +1,8 @@
-// Checkpoint of a running ShardedService — the K-shard analogue of
-// service::Checkpoint. Restoring into a freshly constructed service over
-// the same environment, the same policy factory, and the same ShardedConfig
-// reproduces the original bit for bit: every shard's dual grids and ledger
+// Checkpoint of a running ShardedService — the serving stack's one
+// checkpoint format, with K=1 as its degenerate single-section case.
+// Restoring into a freshly constructed service over the same environment,
+// the same policy factory, and the same ShardedConfig reproduces the
+// original bit for bit: every shard's dual grids and ledger
 // commitments round-trip independently, and the shard-count / router-seed
 // fields are cross-checked on restore so a checkpoint cannot silently
 // resume under a different partitioning (routing would diverge).
@@ -41,7 +42,7 @@ struct ShardedCheckpoint {
   std::uint64_t router_seed = 0;
   int reroute_attempts = 0;
   /// Aggregate booked compute across shards (equals the shard sum; stored
-  /// for the monolithic-style finish() cross-check).
+  /// for finish()'s aggregate cross-check).
   double booked_compute = 0.0;
   std::vector<ShardState> shard_states;
   /// Bids accepted (queued or held for a future slot) but not yet decided.

@@ -31,7 +31,7 @@ HandleFactory local_handles(PolicyFactory factory) {
     return std::make_unique<ShardRunner>(
         shard_id, ctx.fleet, std::move(members), ctx.energy, ctx.market,
         ctx.horizon, factory, ctx.board, ctx.config.inbox_capacity,
-        ctx.config.time_decisions);
+        ctx.config.time_decisions, /*sole_shard=*/ctx.config.shards == 1);
   };
 }
 
@@ -110,8 +110,10 @@ void ShardedService::init_shards(const Instance& env,
     }
   }
   // Seed the board so slot-0 routing sees real free capacity, not the
-  // "nothing published" placeholder.
-  for (const auto& shard : shards_) shard->publish(0);
+  // "nothing published" placeholder. A sole shard needs no routing.
+  if (!sole_shard()) {
+    for (const auto& shard : shards_) shard->publish(0);
+  }
   // Every shard registers the same DP cache-metric names, so hits/misses
   // aggregate fleet-wide in this service's registry.
   for (const auto& shard : shards_) {
@@ -163,8 +165,8 @@ void ShardedService::step() {
   const std::vector<Task> drained = queue_.drain();
   const std::size_t queue_depth = queue_.depth();
 
-  // Identical batch assembly to AdmissionService::step() — a prerequisite
-  // for the 1-shard bit-identity guarantee.
+  // Assemble the slot batch: bids held for this slot plus freshly drained
+  // ones due now; future bids wait, stale ones hit the late-bid policy.
   std::vector<Task> batch;
   for (auto it = held_.begin(); it != held_.end() && it->first <= now;
        it = held_.erase(it)) {
@@ -187,6 +189,7 @@ void ShardedService::step() {
   });
   for (Task& bid : batch) bid.arrival = now;  // no-op except clamped bids
 
+  // The engine's arrival order: within a slot, ties break by task id.
   std::stable_sort(batch.begin(), batch.end(),
                    [](const Task& a, const Task& b) { return a.id < b.id; });
 
@@ -206,9 +209,12 @@ void ShardedService::decide_batch(Slot now, std::vector<Task>& batch,
     const util::Stopwatch watch;
 
     // One consistent price read per slot; every ranking this slot uses it.
+    // A sole shard ranks every bid {0} and reads no prices.
     std::vector<PriceSnapshot> prices;
-    prices.reserve(static_cast<std::size_t>(shards));
-    for (int s = 0; s < shards; ++s) prices.push_back(board_.read(s));
+    if (!sole_shard()) {
+      prices.reserve(static_cast<std::size_t>(shards));
+      for (int s = 0; s < shards; ++s) prices.push_back(board_.read(s));
+    }
 
     struct Item {
       Task task;
@@ -224,7 +230,8 @@ void ShardedService::decide_batch(Slot now, std::vector<Task>& batch,
     items.reserve(batch.size());
     for (Task& task : batch) {
       Item item;
-      item.ranking = router_.rank(task, prices);
+      item.ranking = sole_shard() ? std::vector<int>{0}
+                                  : router_.rank(task, prices);
       item.task = std::move(task);
       items.push_back(std::move(item));
     }
@@ -383,13 +390,17 @@ void ShardedService::decide_batch(Slot now, std::vector<Task>& batch,
       outcome.arrival = task.arrival;
       outcome.decide_seconds = item.decide_seconds;
       if (f.shard >= 0) {
-        Schedule schedule = to_fleet(
-            std::move(f.decision.schedule),
-            shards_[static_cast<std::size_t>(f.shard)]->to_global());
+        Schedule schedule = std::move(f.decision.schedule);
         // The runner validated against its sub-cluster; re-check against
         // the fleet to pin the id remap (profiles are identical copies, so
-        // a correct remap can never fail here).
-        require_valid_schedule(task, schedule, cluster_, horizon_);
+        // a correct remap can never fail here). A sole shard's ids already
+        // are the fleet's.
+        if (!sole_shard()) {
+          schedule = to_fleet(
+              std::move(schedule),
+              shards_[static_cast<std::size_t>(f.shard)]->to_global());
+          require_valid_schedule(task, schedule, cluster_, horizon_);
+        }
         outcome.admitted = true;
         outcome.payment = f.decision.payment;
         outcome.vendor = schedule.vendor;
@@ -425,9 +436,10 @@ void ShardedService::decide_batch(Slot now, std::vector<Task>& batch,
     // Shards that sat the slot out republish under the leader, so the
     // board's content after every slot is a pure function of decision
     // history — a restored service reproduces it exactly. Dead shards keep
-    // their last published summary (the router already skips them).
+    // their last published summary (the router already skips them). A
+    // sole shard has no board to keep.
     const util::Stopwatch publish_watch;
-    for (int s = 0; s < shards; ++s) {
+    for (int s = 0; s < shards && !sole_shard(); ++s) {
       if (touched[static_cast<std::size_t>(s)] != 0) continue;
       if (!shards_[static_cast<std::size_t>(s)]->alive()) continue;
       try {
@@ -595,7 +607,9 @@ void ShardedService::restore(const ShardedCheckpoint& checkpoint) {
   }
   // Re-publish the board exactly as the original service last did (its
   // final act of slot next_slot-1 published from = next_slot everywhere).
-  for (const auto& shard : shards_) shard->publish(next_slot_);
+  if (!sole_shard()) {
+    for (const auto& shard : shards_) shard->publish(next_slot_);
+  }
 }
 
 }  // namespace lorasched::shard

@@ -1,12 +1,16 @@
-// ShardedService — the sharded drop-in for service::AdmissionService
-// (DESIGN.md §10): the same ingestion edge (BidQueue, backpressure,
-// late-bid policy), the same DecisionSubscriber contract and SimResult
-// accounting, but decisions are made by K independent pdFTSP shards, each
-// with its own dual grids, capacity ledger, and decision thread.
+// ShardedService — the serving stack for the paper's online auction
+// (DESIGN.md §6, §10). Producer threads stream bids into a bounded BidQueue;
+// a slot loop drains it once per slot, hands the batch to K independent
+// pdFTSP shards (each with its own dual grids and capacity ledger) through
+// the exact SlotContext / ledger / validator path the batch simulator uses,
+// notifies decision subscribers, and accumulates the same SimResult
+// accounting as run_simulation. K=1 is the plain online auction: it decides
+// inline on the leader thread, is bit-identical to run_simulation, and
+// checkpoints in the same format as any K.
 //
 // Per slot the leader (the thread calling step()/run()):
-//   1. assembles the slot batch exactly like the monolithic service
-//      (held-bid merge, late-bid policy, stable sort by task id);
+//   1. assembles the slot batch: held-bid merge, late-bid policy, stable
+//      sort by task id (the engine's arrival order);
 //   2. reads every shard's published price summary once and ranks the
 //      shards per bid (Router);
 //   3. round 0: offers each bid to its first-choice shard; all shards with
@@ -22,8 +26,11 @@
 // the shard's thread; price publication points are fixed by the protocol.
 // Two runs with the same environment, bid stream, and config produce
 // identical decisions regardless of thread scheduling — and a 1-shard
-// service is bit-identical to the monolithic AdmissionService over the
-// same policy configuration (pinned by test_shard).
+// service is bit-identical to run_simulation over the same policy
+// configuration (pinned by test_service).
+//
+// Threading model: submit() is safe from any number of threads; step(),
+// run(), checkpoint(), and finish() belong to one leader thread.
 #pragma once
 
 #include <atomic>
@@ -39,7 +46,6 @@
 #include "lorasched/cluster/energy.h"
 #include "lorasched/obs/cluster_trace.h"
 #include "lorasched/obs/registry.h"
-#include "lorasched/service/admission_service.h"
 #include "lorasched/service/bid_queue.h"
 #include "lorasched/service/service_metrics.h"
 #include "lorasched/service/subscriber.h"
@@ -58,18 +64,19 @@
 namespace lorasched::shard {
 
 struct ShardedConfig {
-  /// Number of shards K (1..node count). K=1 reproduces the monolithic
-  /// service bit for bit.
+  /// Number of shards K (1..node count). K=1 reproduces run_simulation bit
+  /// for bit and decides inline on the leader thread.
   int shards = 1;
   /// Second-chance budget: additional shards a rejected bid is re-offered
   /// to before the reject becomes final.
   int reroute_attempts = 1;
   /// Router tie-break seed (see RouterConfig::seed).
   std::uint64_t router_seed = 0;
-  /// Ingestion edge, identical semantics to ServiceConfig.
+  /// Ingestion edge: queue bound and what a full queue does.
   std::size_t queue_capacity = 1024;
   service::BackpressureMode backpressure = service::BackpressureMode::kBlock;
   service::LateBidMode late_bids = service::LateBidMode::kReject;
+  /// Record per-task wall-clock decision time (mirrors EngineOptions).
   bool time_decisions = true;
   /// Capacity of each shard's inbox; sub-batches larger than this still
   /// work (the runner drains while the leader feeds).
@@ -133,12 +140,19 @@ class ShardedService {
   void add_subscriber(service::DecisionSubscriber* subscriber);
 
   /// Decides the current slot across the shards, then advances it. Throws
-  /// std::logic_error on policy contract violations (rethrown from the
-  /// offending shard's thread) or when already past the horizon.
+  /// std::logic_error on policy contract violations (exactly the engine's
+  /// checks, rethrown from the offending shard's thread) or when already
+  /// past the horizon.
   void step();
 
-  /// Absorbs queued bids into the held-bid map without deciding (offline
-  /// replay of streams longer than the queue; see AdmissionService::pump).
+  /// Absorbs queued bids into the held-bid map without advancing the slot
+  /// or running the policy, freeing queue capacity (and waking producers
+  /// blocked under kBlock backpressure). Decisions are unchanged: step()
+  /// treats a pumped bid exactly like one it drained itself. Offline replay
+  /// uses this to ingest a bid stream longer than the queue capacity
+  /// before the first step; a plain "join the feeder, then step" would
+  /// deadlock there. Pumped bids count as pending, not drained, in
+  /// subsequent SlotReports.
   void pump();
 
   /// Drives step() to the horizon, pacing by `slot_period` (zero = as fast
@@ -148,6 +162,10 @@ class ShardedService {
   [[nodiscard]] Slot current_slot() const noexcept { return next_slot_; }
   [[nodiscard]] Slot horizon() const noexcept { return horizon_; }
   [[nodiscard]] bool done() const noexcept { return next_slot_ >= horizon_; }
+  /// True once no further bid can arrive or become due: the queue is closed
+  /// and empty and no accepted bid waits for a future slot. run() and
+  /// external slot loops use this to fast-forward the remaining empty
+  /// slots. Leader thread only (reads the held-bid map).
   [[nodiscard]] bool idle() const noexcept {
     return queue_.closed() && queue_.depth() == 0 && held_.empty();
   }
@@ -182,9 +200,6 @@ class ShardedService {
   }
   [[nodiscard]] const ShardPlan& plan() const noexcept { return plan_; }
   [[nodiscard]] const Router& router() const noexcept { return router_; }
-  [[nodiscard]] const PriceBoard& price_board() const noexcept {
-    return board_;
-  }
   [[nodiscard]] int shard_count() const noexcept {
     return static_cast<int>(shards_.size());
   }
@@ -222,6 +237,8 @@ class ShardedService {
 
  private:
   void init_shards(const Instance& env, const HandleFactory& handles);
+  /// K=1: no routing, so no price board to read or keep current.
+  [[nodiscard]] bool sole_shard() const noexcept { return shards_.size() == 1; }
   void decide_batch(Slot now, std::vector<Task>& batch, std::size_t drained,
                     std::size_t queue_depth);
   void reject_late(const Task& bid);

@@ -62,7 +62,7 @@ class Policy {
 };
 
 /// Mixin for policies whose mutable state must survive a service
-/// checkpoint/restore cycle (service/admission_service.h). The state is a
+/// checkpoint/restore cycle (shard/sharded_service.h). The state is a
 /// flat vector of doubles — opaque to the service and the serializer — such
 /// that a freshly constructed policy of the same configuration, after
 /// restore_state(), makes bit-identical decisions to the original.

@@ -1,8 +1,15 @@
 // Tests for the CSV tokenizer and workload/result serialization.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <unistd.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+
+#include "lorasched/io/atomic_file.h"
 #include "lorasched/io/csv.h"
 #include "lorasched/io/serialize.h"
 #include "lorasched/sim/engine.h"
@@ -211,26 +218,28 @@ TEST(Serialize, ReplayedTasksProduceIdenticalAuction) {
 TEST(Serialize, CheckpointRejectsForeignMagicWithClearError) {
   std::istringstream garbage("some-other-format 3\n");
   try {
-    (void)read_checkpoint(garbage);
+    (void)read_sharded_checkpoint(garbage);
     FAIL() << "foreign magic must be rejected";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("not a checkpoint stream"), std::string::npos) << what;
-    EXPECT_NE(what.find("lorasched-checkpoint"), std::string::npos) << what;
+    EXPECT_NE(what.find("not a sharded checkpoint stream"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("lorasched-sharded-checkpoint"), std::string::npos)
+        << what;
     EXPECT_NE(what.find("some-other-format"), std::string::npos) << what;
   }
 }
 
 TEST(Serialize, CheckpointNamesBothVersionsOnSkew) {
   std::ostringstream out;
-  write_checkpoint(out, service::Checkpoint{});
+  write_sharded_checkpoint(out, shard::ShardedCheckpoint{});
   std::string bytes = out.str();
-  const std::string header = "lorasched-checkpoint 1";
+  const std::string header = "lorasched-sharded-checkpoint 1";
   ASSERT_EQ(bytes.rfind(header, 0), 0u);  // writer emits the v1 header
-  bytes.replace(0, header.size(), "lorasched-checkpoint 99");
+  bytes.replace(0, header.size(), "lorasched-sharded-checkpoint 99");
   std::istringstream in(bytes);
   try {
-    (void)read_checkpoint(in);
+    (void)read_sharded_checkpoint(in);
     FAIL() << "version skew must be rejected";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
@@ -240,13 +249,12 @@ TEST(Serialize, CheckpointNamesBothVersionsOnSkew) {
 }
 
 TEST(Serialize, ShardedCheckpointHeaderIsValidatedToo) {
-  // The sharded magic embeds the plain one as a prefix-free superset;
-  // feeding a plain checkpoint to the sharded reader must name the
-  // expected magic rather than mis-parse.
-  std::istringstream plain("lorasched-checkpoint 1\n");
+  // The retired single-service format has no reader: feeding one to the
+  // checkpoint reader must name the expected magic rather than mis-parse.
+  std::istringstream retired("lorasched-checkpoint 1\n");
   try {
-    (void)read_sharded_checkpoint(plain);
-    FAIL() << "plain checkpoint fed to sharded reader must be rejected";
+    (void)read_sharded_checkpoint(retired);
+    FAIL() << "retired checkpoint format must be rejected";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("not a sharded checkpoint stream"), std::string::npos)
@@ -254,15 +262,65 @@ TEST(Serialize, ShardedCheckpointHeaderIsValidatedToo) {
     EXPECT_NE(what.find("lorasched-sharded-checkpoint"), std::string::npos)
         << what;
   }
+}
 
-  std::istringstream skew("lorasched-sharded-checkpoint 7\n");
-  try {
-    (void)read_sharded_checkpoint(skew);
-    FAIL() << "sharded version skew must be rejected";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("version 7"), std::string::npos) << what;
+// --- Atomic file replacement -------------------------------------------------
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// A fresh empty directory under the system temp dir, removed at scope exit.
+class ScratchDir {
+ public:
+  ScratchDir() {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    path_ = std::filesystem::temp_directory_path() /
+            ("lorasched_" + std::string(info->name()) + "_" +
+             std::to_string(::getpid()));
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
   }
+  ~ScratchDir() { std::filesystem::remove_all(path_); }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  [[nodiscard]] std::string file(const std::string& name) const {
+    return (path_ / name).string();
+  }
+
+ private:
+  std::filesystem::path path_;
+};
+
+TEST(AtomicFile, ReplacesExistingFileAndLeavesNoTemp) {
+  const ScratchDir dir;
+  const std::string path = dir.file("ck.txt");
+  replace_file(path, "first\n");
+  EXPECT_EQ(read_file(path), "first\n");
+  replace_file(path, "second, longer contents\n");
+  EXPECT_EQ(read_file(path), "second, longer contents\n");
+  replace_file(path, "");
+  EXPECT_EQ(read_file(path), "");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
+TEST(AtomicFile, FailureLeavesTheOldFileIntact) {
+  const ScratchDir dir;
+  const std::string path = dir.file("metrics.prom");
+  replace_file(path, "old\n");
+  // A directory squatting on the temp name makes the write step fail.
+  std::filesystem::create_directory(path + ".tmp");
+  EXPECT_THROW(replace_file(path, "new\n"), std::runtime_error);
+  EXPECT_EQ(read_file(path), "old\n");
+
+  // A missing parent directory fails before anything is written.
+  EXPECT_THROW(replace_file(dir.file("absent/ck.txt"), "x"),
+               std::runtime_error);
+  EXPECT_FALSE(std::filesystem::exists(dir.file("absent")));
 }
 
 }  // namespace

@@ -29,7 +29,7 @@
 #include "lorasched/net/messages.h"
 #include "lorasched/net/transport.h"
 #include "lorasched/net/wire.h"
-#include "lorasched/service/admission_service.h"
+#include "lorasched/shard/sharded_service.h"
 #include "test_helpers.h"
 
 namespace lorasched::loadgen {
@@ -460,11 +460,11 @@ TEST(SoakService, InProcessSeamRunsClean) {
   }
   ASSERT_GT(bids.size(), 0u);
 
-  Pdftsp policy(pdftsp_config_for(env), env.cluster, env.energy, env.horizon);
-  service::ServiceConfig config;
+  shard::ShardedConfig config;
   config.queue_capacity = bids.size() + 1;
   config.late_bids = service::LateBidMode::kClamp;
-  service::AdmissionService server(env, policy, config);
+  shard::ShardedService server(
+      env, shard::make_pdftsp_factory(pdftsp_config_for(env)), config);
   SoakMetrics soak;
   server.add_subscriber(&soak);
 
@@ -499,11 +499,11 @@ TEST(SoakService, WireIngestSeamRunsClean) {
           .generate();
   ASSERT_GT(bids.size(), 0u);
 
-  Pdftsp policy(pdftsp_config_for(env), env.cluster, env.energy, env.horizon);
-  service::ServiceConfig config;
+  shard::ShardedConfig config;
   config.queue_capacity = bids.size() + 1;
   config.late_bids = service::LateBidMode::kClamp;
-  service::AdmissionService server(env, policy, config);
+  shard::ShardedService server(
+      env, shard::make_pdftsp_factory(pdftsp_config_for(env)), config);
 
   net::FirehoseIngest::Config ingest_config;
   ingest_config.expected_streams = 1;

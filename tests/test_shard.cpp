@@ -1,9 +1,9 @@
 // Sharded scheduling correctness (DESIGN.md §10): the planner must produce
-// balanced exact covers, a 1-shard ShardedService must reproduce the
-// monolithic AdmissionService bit for bit, K-shard runs must be
-// deterministic under any thread schedule, second-chance re-routing must
-// recover capacity rejects, and checkpoint/restore must resume to a
-// byte-identical final state.
+// balanced exact covers, K-shard runs must be deterministic under any
+// thread schedule, second-chance re-routing must recover capacity rejects,
+// and checkpoint/restore must resume to a byte-identical final state. At
+// K=1 the re-routing settings must be inert and the service must match the
+// monolithic run_simulation; the rest of the K=1 surface is in test_service.
 #include "lorasched/shard/sharded_service.h"
 
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 #include "lorasched/core/online_params.h"
 #include "lorasched/core/pdftsp.h"
 #include "lorasched/io/serialize.h"
-#include "lorasched/service/admission_service.h"
 #include "lorasched/shard/price_board.h"
 #include "lorasched/shard/router.h"
 #include "lorasched/shard/shard_planner.h"
@@ -67,8 +66,7 @@ void expect_same_metrics(const Metrics& a, const Metrics& b) {
 
 /// Submits every instance task from `threads` producers, then steps the
 /// service through its whole horizon.
-template <typename Service>
-void serve_instance(Service& service, const Instance& instance,
+void serve_instance(ShardedService& service, const Instance& instance,
                     int threads = 4) {
   std::vector<std::thread> producers;
   for (int p = 0; p < threads; ++p) {
@@ -324,8 +322,11 @@ TEST(PriceBoard, SeqlockVersionIsEvenOnEveryConsistentRead) {
 
 // --- ShardedService --------------------------------------------------------
 
+// One shard leaves nowhere to re-route to, so reroute_attempts and the
+// router seed must change nothing: the run stays bit-identical to the
+// monolithic batch engine.
 TEST(ShardedService, SingleShardMatchesMonolithicExactly) {
-  const Instance instance = make_instance(testing::small_scenario());
+  const Instance instance = make_instance(testing::small_scenario(11));
   const PdftspConfig config = pdftsp_config_for(instance);
 
   Pdftsp sim_policy(config, instance.cluster, instance.energy,
@@ -334,9 +335,11 @@ TEST(ShardedService, SingleShardMatchesMonolithicExactly) {
 
   ShardedConfig sharded;
   sharded.shards = 1;
+  sharded.reroute_attempts = 2;
+  sharded.router_seed = 99;
   ShardedService service(instance, make_pdftsp_factory(config), sharded);
   serve_instance(service, instance);
-  EXPECT_EQ(service.rerouted_bids(), 0u);  // one shard: nowhere else to go
+  EXPECT_EQ(service.rerouted_bids(), 0u);
   const SimResult actual = service.finish();
 
   expect_same_outcomes(expected.outcomes, actual.outcomes);
@@ -473,19 +476,17 @@ TEST(ShardedService, ExportsRouterRerouteMetrics) {
 }
 
 // Offline replay of a stream longer than the queue under block
-// backpressure (the lorasched_shard_serve --slot-ms 0 path).
+// backpressure (the lorasched_serve --shards 2 --slot-ms 0 path).
 TEST(ShardedService, PumpIngestsBeyondQueueCapacityWithoutDeadlock) {
   const Instance instance = make_instance(testing::small_scenario());
   const PdftspConfig config = pdftsp_config_for(instance);
 
-  ShardedConfig monolike;
-  monolike.shards = 1;
-  ShardedService reference(instance, make_pdftsp_factory(config), monolike);
+  ShardedConfig sharded;
+  sharded.shards = 2;
+  ShardedService reference(instance, make_pdftsp_factory(config), sharded);
   serve_instance(reference, instance, 1);
   const SimResult expected = reference.finish();
 
-  ShardedConfig sharded;
-  sharded.shards = 1;
   sharded.queue_capacity = 2;  // far below the bid count
   ShardedService service(instance, make_pdftsp_factory(config), sharded);
   ASSERT_GT(instance.tasks.size(), sharded.queue_capacity);

@@ -9,13 +9,14 @@
 
 #include <cmath>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "lorasched/core/online_params.h"
 #include "lorasched/core/pdftsp.h"
-#include "lorasched/service/admission_service.h"
+#include "lorasched/shard/sharded_service.h"
 #include "lorasched/sim/engine.h"
 #include "test_helpers.h"
 
@@ -247,12 +248,20 @@ TEST(TracingEquivalence, ServiceDecisionsAreBitIdenticalWithTracing) {
   const Instance instance = trace_instance(11);
 
   const auto serve = [&instance](DecisionTracer* tracer) {
-    Pdftsp policy(pdftsp_config_for(instance), instance.cluster,
-                  instance.energy, instance.horizon);
-    if (tracer != nullptr) policy.set_trace_sink(tracer);
-    service::ServiceConfig config;
+    const shard::PolicyFactory pdftsp =
+        shard::make_pdftsp_factory(pdftsp_config_for(instance));
+    shard::ShardedConfig config;
     config.time_decisions = false;
-    service::AdmissionService server(instance, policy, config);
+    shard::ShardedService server(
+        instance,
+        [&](const Cluster& cluster, const EnergyModel& energy, Slot horizon) {
+          std::unique_ptr<Policy> policy = pdftsp(cluster, energy, horizon);
+          if (tracer != nullptr) {
+            dynamic_cast<Pdftsp&>(*policy).set_trace_sink(tracer);
+          }
+          return policy;
+        },
+        config);
     for (const Task& task : instance.tasks) (void)server.submit(task);
     server.close();
     server.run(std::chrono::nanoseconds{0});
