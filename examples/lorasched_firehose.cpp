@@ -13,7 +13,7 @@
 //                            determinism check cmps two exports)
 //   --connect host:port      wire mode: one connection per source against
 //                            a serving process started with --ingest-port
-//                            (lorasched_serve or lorasched_cluster_leader)
+//                            (lorasched_serve, in-process or --agents)
 //   (neither)                inline mode: an in-process single-shard
 //                            ShardedService decided with pdFTSP — the
 //                            no-sockets soak the unit tests and micro-bench

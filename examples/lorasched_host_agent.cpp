@@ -1,13 +1,13 @@
 // lorasched_host_agent — the worker process of the distributed control
-// plane (DESIGN.md §11). It loads the same scenario as the cluster leader,
-// binds a loopback TCP port, and serves shard assignments: each
-// AssignShard from the leader builds an in-process ShardRunner whose
-// rounds are driven entirely over the wire.
+// plane (DESIGN.md §11). It loads the same scenario as the leader
+// (lorasched_serve --agents), binds a loopback TCP port, and serves shard
+// assignments: each AssignShard from the leader builds an in-process
+// ShardRunner whose rounds are driven entirely over the wire.
 //
 //   ./lorasched_host_agent --port 7701 &
 //   ./lorasched_host_agent --port 7702 &
-//   ./lorasched_cluster_leader --agents 127.0.0.1:7701,127.0.0.1:7702
-//       --bids bids.txt --shards 4 --slot-ms 0
+//   ./lorasched_serve --agents 127.0.0.1:7701,127.0.0.1:7702
+//       --bids bids.txt --shards 4 --slot-ms 0 --shutdown-agents
 //
 // The agent and leader MUST be launched with the same --scenario/--seed:
 // the Hello handshake compares environment digests and refuses mismatched

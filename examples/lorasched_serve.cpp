@@ -1,4 +1,4 @@
-// lorasched_serve — the in-process admission daemon (DESIGN.md §6, §10).
+// lorasched_serve — the admission daemon (DESIGN.md §6, §10, §11).
 //
 // Reads line-delimited bids (io::format_bid_line records) from stdin, a
 // file, or the wire (--ingest-port), streams them into a ShardedService
@@ -21,18 +21,42 @@
 // different --shards/--reroute/--router-seed is rejected rather than
 // silently diverging.
 //
-// Observability (DESIGN.md §8):
-//   --trace-out d.jsonl     per-bid decision trace (JSONL) + profiling
-//                           spans; also writes d.jsonl.chrome.json, a
-//                           Chrome trace-event timeline for Perfetto.
-//                           K=1 only: at K>1 the records would carry
-//                           shard-local node ids
+// Distributed mode: --agents host:port,... runs the K shards inside
+// lorasched_host_agent processes reached over the binary wire protocol
+// (shard i is served by agent i mod A); every other line of the daemon is
+// the same. Decisions, payments, and welfare are bit-identical to the
+// in-process run with the same K. A crashed agent is detected by heartbeat;
+// its shards' bids fail over to live shards and the run completes degraded
+// instead of hanging. --checkpoint-every 1 keeps every shard's leader-side
+// state cache fresh, which lets a between-round reconnect resume
+// bit-identically. --shutdown-agents stops the agents at exit. Remote
+// shards build pdFTSP from the shipped pricing config, so --policy
+// pdFTSP-adaptive is in-process only.
+//
+//   ./lorasched_host_agent --port 7701 &
+//   ./lorasched_host_agent --port 7702 &
+//   ./lorasched_serve --agents 127.0.0.1:7701,127.0.0.1:7702
+//       --bids bids.txt --shards 4 --slot-ms 0 --shutdown-agents
+//
+// Observability (DESIGN.md §8, §12) — all of it observation-only:
+//   --trace-out t.json      a Chrome trace-event document (Perfetto).
+//                           In-process it is the decision timeline, and the
+//                           per-bid decision records go to
+//                           t.json.decisions.jsonl; K=1 only, since at K>1
+//                           the records would carry shard-local node ids.
+//                           With --agents it is the merged cluster trace,
+//                           where each agent's decision spans parent to the
+//                           leader's per-round bid spans.
 //   --metrics-out m.prom    Prometheus text exposition of the service
 //                           registry, rewritten every --metrics-every
 //                           slots (default 0 = only at exit) and on
 //                           SIGUSR1 (kill -USR1 <pid> for an on-demand
 //                           dump of a live daemon)
-//   --http-port P           live /metrics and /healthz on 127.0.0.1:P
+//   --http-port P           live /metrics and /healthz on 127.0.0.1:P. With
+//                           --agents, /metrics is the federated document
+//                           (agents launched with --push-ms), /healthz adds
+//                           per-agent link liveness, and /tracez summarizes
+//                           the cluster trace's spans.
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -44,6 +68,8 @@
 #include <string>
 #include <thread>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "lorasched/core/online_params.h"
 #include "lorasched/core/pdftsp.h"
@@ -52,6 +78,9 @@
 #include "lorasched/io/serialize.h"
 #include "lorasched/net/firehose_ingest.h"
 #include "lorasched/net/http.h"
+#include "lorasched/net/remote_shard.h"
+#include "lorasched/obs/cluster_trace.h"
+#include "lorasched/obs/federation.h"
 #include "lorasched/obs/span.h"
 #include "lorasched/obs/trace.h"
 #include "lorasched/service/slot_clock.h"
@@ -129,6 +158,78 @@ shard::PolicyFactory make_policy_factory(const std::string& name,
   };
 }
 
+using Endpoint = std::pair<std::string, std::uint16_t>;
+
+/// "host:port,host:port" -> endpoint list (bare "port" implies loopback).
+std::vector<Endpoint> parse_agents(const std::string& spec) {
+  std::vector<Endpoint> endpoints;
+  std::istringstream in(spec);
+  std::string item;
+  while (std::getline(in, item, ',')) {
+    if (item.empty()) continue;
+    const auto colon = item.rfind(':');
+    std::string host = "127.0.0.1";
+    std::string port = item;
+    if (colon != std::string::npos) {
+      host = item.substr(0, colon);
+      port = item.substr(colon + 1);
+    }
+    const int parsed = std::stoi(port);
+    if (parsed <= 0 || parsed > 65535) {
+      throw std::invalid_argument("bad agent port in --agents: " + item);
+    }
+    endpoints.emplace_back(host, static_cast<std::uint16_t>(parsed));
+  }
+  if (endpoints.empty()) {
+    throw std::invalid_argument("--agents needs at least one host:port");
+  }
+  return endpoints;
+}
+
+/// One link per agent process, shared by the shards it serves. The links
+/// count their transport frames into `leader_net` and merge the agents'
+/// metric pushes into `federated`; both must outlive the links.
+std::vector<std::shared_ptr<net::AgentLink>> connect_agents(
+    const std::vector<Endpoint>& endpoints, const Instance& env, int shards,
+    obs::MetricsRegistry& leader_net, obs::FederatedRegistry& federated) {
+  net::HelloMsg hello;
+  hello.digest = net::env_digest(env.cluster, env.market, env.horizon);
+  hello.nodes = env.cluster.node_count();
+  hello.classes = env.cluster.class_count();
+  hello.horizon = env.horizon;
+  hello.shards_total = shards;
+  std::vector<std::shared_ptr<net::AgentLink>> links;
+  links.reserve(endpoints.size());
+  for (const auto& [host, port] : endpoints) {
+    net::LinkConfig link_config;
+    link_config.host = host;
+    link_config.port = port;
+    link_config.metrics = &leader_net;
+    auto link = std::make_shared<net::AgentLink>(link_config, hello);
+    link->set_metrics_sink([&federated](net::MetricsSnapshotMsg&& msg) {
+      federated.absorb(msg.agent, msg.seq, msg.groups);
+    });
+    link->connect();
+    std::cerr << "connected to host-agent " << host << ":" << port << "\n";
+    links.push_back(std::move(link));
+  }
+  return links;
+}
+
+/// The distributed HandleFactory: shard i runs on agent i mod A, built
+/// there from the same pdFTSP pricing the in-process service would use.
+shard::HandleFactory remote_handles(
+    std::vector<std::shared_ptr<net::AgentLink>> links, PdftspConfig policy) {
+  return [links = std::move(links), policy = std::move(policy)](
+             int shard_id, std::vector<NodeId> members,
+             const shard::ShardContext& ctx)
+             -> std::unique_ptr<shard::ShardHandle> {
+    return std::make_unique<net::RemoteShardHandle>(
+        links[static_cast<std::size_t>(shard_id) % links.size()], policy,
+        shard_id, std::move(members), ctx);
+  };
+}
+
 }  // namespace
 
 int main(int argc, char** argv) try {
@@ -138,7 +239,7 @@ int main(int argc, char** argv) try {
                   "backpressure", "late", "checkpoint", "checkpoint-every",
                   "resume", "out", "verbose", "timing", "trace-out",
                   "metrics-out", "metrics-every", "http-port", "ingest-port",
-                  "ingest-clients"});
+                  "ingest-clients", "agents", "shutdown-agents"});
 
   ScenarioConfig config;
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
@@ -174,26 +275,55 @@ int main(int argc, char** argv) try {
     throw std::invalid_argument("late must be clamp|reject");
   }
 
-  // Decision trace (JSONL + Chrome trace). Declared before the service so
-  // the policies holding the sink are destroyed first.
-  const std::string trace_path = cli.get("trace-out", "");
-  std::ofstream trace_stream;
-  std::unique_ptr<obs::DecisionTracer> tracer;
-  if (!trace_path.empty()) {
-    if (sharded_config.shards != 1) {
-      throw std::invalid_argument(
-          "--trace-out needs --shards 1 (shard traces carry shard-local "
-          "node ids)");
-    }
-    trace_stream.open(trace_path);
-    if (!trace_stream) throw std::runtime_error("cannot open trace file");
-    tracer = std::make_unique<obs::DecisionTracer>(&trace_stream);
-    obs::Profiler::instance().set_enabled(true);
-    obs::Profiler::instance().set_timeline(true);
+  const bool distributed = cli.has("agents");
+  const std::string policy_name = cli.get("policy", "pdFTSP");
+  if (distributed && policy_name != "pdFTSP") {
+    throw std::invalid_argument(
+        "--agents serves --policy pdFTSP only (host agents build pdFTSP "
+        "from the shipped pricing config)");
+  }
+  if (!distributed && cli.has("shutdown-agents")) {
+    throw std::invalid_argument("--shutdown-agents needs --agents");
   }
 
+  // Observability sinks. Declared before the links and the service: the
+  // policies and links borrow them for their whole lifetime.
+  const std::string trace_path = cli.get("trace-out", "");
+  const std::string decisions_path = trace_path + ".decisions.jsonl";
+  std::ofstream decisions_stream;
+  std::unique_ptr<obs::DecisionTracer> tracer;  // in-process K=1
+  obs::ClusterTraceCollector cluster_tracer;    // --agents
+  obs::MetricsRegistry leader_net;              // leader-side link counters
+  obs::FederatedRegistry federated;             // merged agent pushes
+  if (!trace_path.empty()) {
+    if (distributed) {
+      sharded_config.tracer = &cluster_tracer;
+    } else {
+      if (sharded_config.shards != 1) {
+        throw std::invalid_argument(
+            "--trace-out needs --shards 1 (shard traces carry shard-local "
+            "node ids)");
+      }
+      decisions_stream.open(decisions_path);
+      if (!decisions_stream) throw std::runtime_error("cannot open trace file");
+      tracer = std::make_unique<obs::DecisionTracer>(&decisions_stream);
+      obs::Profiler::instance().set_enabled(true);
+      obs::Profiler::instance().set_timeline(true);
+    }
+  }
+
+  std::vector<Endpoint> endpoints;
+  std::vector<std::shared_ptr<net::AgentLink>> links;
+  if (distributed) {
+    endpoints = parse_agents(cli.get("agents", ""));
+    links = connect_agents(endpoints, env, sharded_config.shards, leader_net,
+                           federated);
+  }
   shard::ShardedService server(
-      env, make_policy_factory(cli.get("policy", "pdFTSP"), env, tracer.get()),
+      env,
+      distributed ? remote_handles(links, pdftsp_config_for(env))
+                  : shard::local_handles(make_policy_factory(
+                        policy_name, env, tracer.get())),
       sharded_config);
   LogSubscriber log(cli.get_bool("verbose", false));
   server.add_subscriber(&log);
@@ -237,25 +367,67 @@ int main(int argc, char** argv) try {
   };
 
   std::unique_ptr<net::HttpServer> http;
+  std::atomic<std::uint64_t> leader_seq{0};
   if (cli.has("http-port")) {
     http = std::make_unique<net::HttpServer>(
         static_cast<std::uint16_t>(cli.get_int("http-port", 0)));
-    http->handle("/metrics", [&server] {
+    http->handle("/metrics", [&] {
       std::ostringstream text;
-      server.registry().write_prometheus(text);
+      if (distributed) {
+        // The leader federates itself like any agent: absorb a fresh
+        // cumulative snapshot of its own registries under agent="leader",
+        // then emit the one merged document.
+        std::vector<obs::MetricsGroup> groups(1);
+        groups[0].shard = -1;
+        groups[0].metrics = server.registry().snapshot();
+        for (obs::MetricSnapshot& metric : leader_net.snapshot()) {
+          groups[0].metrics.push_back(std::move(metric));
+        }
+        federated.absorb("leader", leader_seq.fetch_add(1) + 1, groups);
+        federated.write_prometheus(text);
+      } else {
+        server.registry().write_prometheus(text);
+      }
       return net::HttpResponse{200, "text/plain; version=0.0.4; charset=utf-8",
                                text.str()};
     });
-    http->handle("/healthz", [&server] {
+    http->handle("/healthz", [&] {
       std::ostringstream text;
       text << "status: serving\n"
            << "shards: " << server.shard_count() << "\n"
            << "queue_depth: " << server.queue().depth() << "\n";
+      for (std::size_t a = 0; a < links.size(); ++a) {
+        const net::AgentLink::Health h = links[a]->health();
+        text << "agent " << endpoints[a].first << ":" << endpoints[a].second
+             << " link=" << (h.open ? "open" : "down") << " last_rx_ms="
+             << (h.last_rx_age_ns < 0 ? -1 : h.last_rx_age_ns / 1000000)
+             << " reconnects=" << h.reconnects
+             << " rpc_timeouts=" << h.rpc_timeouts;
+        if (!h.last_error.empty()) text << " error=\"" << h.last_error << "\"";
+        text << "\n";
+      }
       return net::HttpResponse{200, "text/plain; charset=utf-8", text.str()};
     });
+    if (distributed) {
+      http->handle("/tracez", [&] {
+        std::ostringstream text;
+        if (sharded_config.tracer == nullptr) {
+          text << "tracing disabled (run with --trace-out)\n";
+        } else {
+          for (const auto& span : cluster_tracer.summaries()) {
+            text << span.name << " count=" << span.count << " total_ms="
+                 << static_cast<double>(span.total_ns) / 1e6 << " max_ms="
+                 << static_cast<double>(span.max_ns) / 1e6 << "\n";
+          }
+        }
+        return net::HttpResponse{200, "text/plain; charset=utf-8",
+                                 text.str()};
+      });
+    }
     http->start();
     std::cerr << "http endpoint on 127.0.0.1:" << http->port()
-              << " (/metrics /healthz)\n";
+              << (distributed ? " (/metrics /healthz /tracez)\n"
+                              : " (/metrics /healthz)\n");
   }
 
   // Bids the checkpoint already accounts for (decided or still pending);
@@ -364,34 +536,49 @@ int main(int argc, char** argv) try {
   const auto ops = server.metrics();
   const std::uint64_t rerouted = server.rerouted_bids();
   const std::uint64_t recovered = server.reroute_admits();
+  const std::uint64_t failed_over = server.failover_bids();
+  const int dead = server.dead_shards();
   const SimResult result = server.finish();
   // Decided bids, whatever fed them: the --bids file, wire ingest, or both.
   std::cerr << "served " << result.metrics.admitted + result.metrics.rejected
             << " bids (" << shed.load() << " shed) on "
-            << server.shard_count() << " shard(s), welfare "
-            << result.metrics.social_welfare << "$, admitted "
+            << server.shard_count() << " shard(s)";
+  if (distributed) std::cerr << " over " << links.size() << " agent(s)";
+  std::cerr << ", welfare " << result.metrics.social_welfare << "$, admitted "
             << result.metrics.admitted << "/"
             << (result.metrics.admitted + result.metrics.rejected)
             << ", rerouted " << rerouted << " (" << recovered
             << " admitted on a second chance), ingest " << ops.ingest_rate
             << " bids/s, decide p50 " << ops.decide_p50 * 1e6 << "us p99 "
             << ops.decide_p99 * 1e6 << "us\n";
+  if (dead > 0) {
+    std::cerr << "degraded: " << dead << " shard(s) lost mid-run, "
+              << failed_over << " bids failed over to live shards\n";
+  }
 
   if (!metrics_path.empty() || metrics_every > 0 || g_dump_requested != 0) {
     dump_metrics();
   }
-  if (tracer != nullptr) {
-    tracer->flush();
-    trace_stream.close();
-    std::ofstream chrome(trace_path + ".chrome.json");
-    if (!chrome) throw std::runtime_error("cannot open chrome trace file");
-    obs::write_chrome_trace(chrome, tracer->instants());
-    std::cerr << "trace: " << tracer->records() << " decisions to "
-              << trace_path << " (+ .chrome.json timeline)\n";
-    for (const obs::SpanStats& span : obs::Profiler::instance().snapshot()) {
-      std::cerr << "span " << span.name << ": " << span.count << " x, total "
-                << span.total_seconds * 1e3 << "ms self "
-                << span.self_seconds * 1e3 << "ms\n";
+  if (!trace_path.empty()) {
+    std::ofstream chrome(trace_path);
+    if (!chrome) throw std::runtime_error("cannot open trace output file");
+    if (distributed) {
+      cluster_tracer.write_chrome_trace(chrome);
+      std::cerr << "trace: merged cluster trace ("
+                << cluster_tracer.events() << " spans"
+                << (cluster_tracer.dropped() > 0 ? ", some dropped" : "")
+                << ") to " << trace_path << "\n";
+    } else {
+      tracer->flush();
+      decisions_stream.close();
+      obs::write_chrome_trace(chrome, tracer->instants());
+      std::cerr << "trace: " << tracer->records() << " decisions to "
+                << decisions_path << ", timeline to " << trace_path << "\n";
+      for (const obs::SpanStats& span : obs::Profiler::instance().snapshot()) {
+        std::cerr << "span " << span.name << ": " << span.count
+                  << " x, total " << span.total_seconds * 1e3 << "ms self "
+                  << span.self_seconds * 1e3 << "ms\n";
+      }
     }
   }
 
@@ -399,6 +586,9 @@ int main(int argc, char** argv) try {
     std::ofstream out(cli.get("out", ""));
     if (!out) throw std::runtime_error("cannot open output file");
     io::write_outcomes_csv(out, result.outcomes);
+  }
+  if (cli.get_bool("shutdown-agents", false)) {
+    for (const auto& link : links) link->send_shutdown();
   }
   return 0;
 } catch (const std::exception& e) {

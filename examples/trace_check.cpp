@@ -1,7 +1,9 @@
 // trace_check — CI validator for lorasched_serve's observability outputs.
 //
-// Reads the three artifacts a traced serve run emits and cross-checks them
-// against each other:
+// Reads the three artifacts a traced in-process serve run emits
+// (--trace-out PATH writes the Chrome trace to PATH and the decision
+// records to PATH.decisions.jsonl) and cross-checks them against each
+// other:
 //  * --trace JSONL: every line must parse back through parse_decision_line
 //    (the exact schema the tests pin down), every record must carry the
 //    Alg. 2 candidate list, and admitted records must charge the eq. (14)
@@ -12,18 +14,19 @@
 //  * --chrome trace-event JSON: must parse with a non-empty traceEvents
 //    array (a timeline Perfetto can load).
 //
-// A second mode validates the cluster leader's federated /metrics payload
-// (DESIGN.md §12): --federated strictly parses the exposition — label
-// syntax and escaping, one HELP/TYPE comment per metric name and before
-// its samples, finite sample values — and asserts that every
-// lorasched_dp_price_cache_* series carries an agent label (at least one
-// such series must exist; --expect-agent additionally requires a series
-// from that specific agent). When --federated is given the other flags are
-// ignored.
+// A second mode validates the federated /metrics payload of
+// lorasched_serve --agents (DESIGN.md §12): --federated strictly parses
+// the exposition — label syntax and escaping, one HELP/TYPE comment per
+// metric name and before its samples, finite sample values — and asserts
+// that every lorasched_dp_price_cache_* series carries an agent label (at
+// least one such series must exist; --expect-agent additionally requires a
+// series from that specific agent). When --federated is given the other
+// flags are ignored.
 //
 // Exits 0 when everything is consistent, 1 with a diagnostic otherwise.
 //
-//   ./trace_check --trace d.jsonl --metrics m.prom --chrome d.jsonl.chrome.json
+//   ./trace_check --trace t.json.decisions.jsonl --metrics m.prom
+//       --chrome t.json
 //   ./trace_check --federated leader_metrics.prom --expect-agent 127.0.0.1:7701
 #include <cmath>
 #include <cstdint>
@@ -234,7 +237,7 @@ int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   cli.allow_only({"trace", "metrics", "chrome", "federated", "expect-agent"});
 
-  // --- Federated exposition mode (cluster leader /metrics) -----------------
+  // --- Federated exposition mode (lorasched_serve --agents /metrics) -------
   if (cli.has("federated")) {
     std::ifstream federated_in(cli.get("federated", ""));
     if (!federated_in) fail("cannot open --federated file");

@@ -82,8 +82,7 @@ class HostAgent::Worker {
         runner_ = std::make_unique<shard::ShardRunner>(
             m.shard_id, agent_.env_.cluster, m.members, agent_.env_.energy,
             agent_.env_.market, agent_.env_.horizon, agent_.factory_(m),
-            *agent_.board(), static_cast<std::size_t>(m.inbox_capacity),
-            m.time_decisions);
+            *agent_.board(), m.time_decisions);
         // Same metric names every session → the same counters continue,
         // so federated series stay monotone across leader reconnects.
         runner_->register_dp_metrics(agent_.shard_registry(shard_id_));

@@ -246,7 +246,6 @@ std::vector<std::uint8_t> encode(const AssignShardMsg& m) {
   w.put_f64(m.welfare_unit);
   w.put_doubles(m.share_options);
   w.put_bool(m.time_decisions);
-  w.put_varint(m.inbox_capacity);
   return w.take();
 }
 
@@ -260,7 +259,6 @@ AssignShardMsg decode_assign_shard(const std::vector<std::uint8_t>& p) {
   m.welfare_unit = r.get_f64("assign welfare unit");
   m.share_options = r.get_doubles("assign share options");
   m.time_decisions = r.get_bool("assign timing");
-  m.inbox_capacity = r.get_varint("assign inbox capacity");
   r.expect_done("assign_shard");
   return m;
 }

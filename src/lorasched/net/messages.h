@@ -58,7 +58,6 @@ struct AssignShardMsg {
   double welfare_unit = 1.0;
   std::vector<double> share_options;
   bool time_decisions = true;
-  std::uint64_t inbox_capacity = 1024;
 };
 
 struct AssignAckMsg {

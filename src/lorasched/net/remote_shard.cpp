@@ -282,7 +282,6 @@ RemoteShardHandle::RemoteShardHandle(std::shared_ptr<AgentLink> link,
   assignment_.welfare_unit = policy.welfare_unit;
   assignment_.share_options = policy.share_options;
   assignment_.time_decisions = ctx.config.time_decisions;
-  assignment_.inbox_capacity = ctx.config.inbox_capacity;
   tracer_ = ctx.config.tracer;
   agent_label_ = link_->config().host + ":" +
                  std::to_string(link_->config().port);

@@ -56,7 +56,7 @@ struct LinkConfig {
   std::chrono::milliseconds heartbeat_timeout{2000};
   /// Per-RPC reply deadline; also bounds wait_round(). A timeout fails the
   /// link (see header comment).
-  std::chrono::milliseconds rpc_timeout{10000};
+  std::chrono::milliseconds rpc_timeout{30000};
   /// Initial-dial retry budget (connect_with_backoff).
   int connect_attempts = 10;
   std::chrono::milliseconds connect_backoff{50};

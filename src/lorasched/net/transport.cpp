@@ -4,6 +4,8 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -106,21 +108,40 @@ Listener::Listener(std::uint16_t port, bool loopback_only) {
     throw TransportError(errno_text("getsockname"));
   }
   port_ = ntohs(bound.sin_port);
+  wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  if (wake_fd_ < 0) throw TransportError(errno_text("eventfd"));
+}
+
+Listener::~Listener() {
+  if (wake_fd_ >= 0) ::close(wake_fd_);
 }
 
 Socket Listener::accept() {
-  const int fd = ::accept(socket_.fd(), nullptr, nullptr);
-  if (fd < 0) throw TransportError(errno_text("accept"));
-  set_nodelay(fd);
-  return Socket(fd);
+  // Linux accept() does not always wake on shutdown of a listening socket,
+  // and closing the fd under it would race this read of it; so wait in
+  // poll() on both the socket and the wake eventfd instead.
+  while (!interrupted_.load(std::memory_order_acquire)) {
+    pollfd fds[2] = {{socket_.fd(), POLLIN, 0}, {wake_fd_, POLLIN, 0}};
+    if (::poll(fds, 2, -1) < 0) {
+      if (errno == EINTR) continue;
+      throw TransportError(errno_text("poll"));
+    }
+    if (fds[1].revents != 0 || fds[0].revents == 0) continue;
+    const int fd = ::accept(socket_.fd(), nullptr, nullptr);
+    if (fd < 0) throw TransportError(errno_text("accept"));
+    set_nodelay(fd);
+    return Socket(fd);
+  }
+  throw TransportError("accept: listener interrupted");
 }
 
 void Listener::interrupt() noexcept {
+  interrupted_.store(true, std::memory_order_release);
+  const std::uint64_t one = 1;
+  (void)!::write(wake_fd_, &one, sizeof(one));
+  // Refuse new connections now instead of queueing them on a listener that
+  // no longer accepts.
   socket_.shutdown();
-  // Linux accept() does not always wake on shutdown of a listening socket;
-  // closing the fd does, at the cost of accept() returning EBADF/EINVAL —
-  // both surface as the TransportError the caller expects.
-  socket_.close();
 }
 
 Connection::Connection(Socket socket, Config config, FrameHandler on_frame,

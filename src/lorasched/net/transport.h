@@ -84,16 +84,25 @@ class Listener {
   /// Binds and listens; `port` 0 picks an ephemeral port (see port()).
   explicit Listener(std::uint16_t port, bool loopback_only = true);
 
+  ~Listener();
+  Listener(const Listener&) = delete;
+  Listener& operator=(const Listener&) = delete;
+
   /// Blocks until a peer connects or interrupt() is called (then throws
   /// TransportError).
   [[nodiscard]] Socket accept();
 
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
-  /// Unblocks a pending accept() and fails all future ones.
+  /// Unblocks a pending accept() and fails all future ones. Safe to call
+  /// from another thread while accept() blocks: it never closes a
+  /// descriptor accept() reads — both stay open until ~Listener.
   void interrupt() noexcept;
 
  private:
   Socket socket_;
+  /// eventfd polled next to the listening socket; interrupt() writes it.
+  int wake_fd_ = -1;
+  std::atomic<bool> interrupted_{false};
   std::uint16_t port_ = 0;
 };
 

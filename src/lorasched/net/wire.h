@@ -38,8 +38,8 @@ class WireError : public std::runtime_error {
 
 inline constexpr std::uint8_t kWireMagic[4] = {'l', 's', 'w', 'p'};
 /// Bumped on every incompatible message change (2: AssignShard dropped its
-/// parallel-candidates field).
-inline constexpr std::uint8_t kWireVersion = 2;
+/// parallel-candidates field; 3: it dropped its inbox-capacity field).
+inline constexpr std::uint8_t kWireVersion = 3;
 /// Frame header bytes before the varint payload length.
 inline constexpr std::size_t kFramePrefix = 6;
 

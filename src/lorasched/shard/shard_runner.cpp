@@ -25,8 +25,7 @@ ShardRunner::ShardRunner(int shard_id, const Cluster& fleet,
                          std::vector<NodeId> members, const EnergyModel& energy,
                          const Marketplace& market, Slot horizon,
                          const PolicyFactory& factory, PriceBoard& board,
-                         std::size_t inbox_capacity, bool time_decisions,
-                         bool sole_shard)
+                         bool time_decisions, bool sole_shard)
     : shard_id_(shard_id),
       horizon_(horizon),
       time_decisions_(time_decisions),
@@ -36,7 +35,7 @@ ShardRunner::ShardRunner(int shard_id, const Cluster& fleet,
       energy_(energy),
       market_(market),
       board_(board),
-      inbox_(inbox_capacity, service::BackpressureMode::kBlock),
+      inbox_(kInboxCapacity, service::BackpressureMode::kBlock),
       ledger_(cluster_, horizon),
       policy_(factory(cluster_, energy_, horizon)),
       pdftsp_(dynamic_cast<const Pdftsp*>(policy_.get())) {

@@ -70,6 +70,10 @@ using PolicyFactory = std::function<std::unique_ptr<Policy>(
 /// own admission stream.
 [[nodiscard]] PolicyFactory make_pdftsp_factory(PdftspConfig config);
 
+/// Capacity of each shard's inbox. Sub-batches larger than this still work:
+/// the runner drains while the leader feeds.
+inline constexpr std::size_t kInboxCapacity = 1024;
+
 class ShardRunner : public ShardHandle {
  public:
   /// Schedule node ids are shard-local; remap through to_global().
@@ -82,8 +86,7 @@ class ShardRunner : public ShardHandle {
   ShardRunner(int shard_id, const Cluster& fleet, std::vector<NodeId> members,
               const EnergyModel& energy, const Marketplace& market,
               Slot horizon, const PolicyFactory& factory, PriceBoard& board,
-              std::size_t inbox_capacity, bool time_decisions,
-              bool sole_shard = false);
+              bool time_decisions, bool sole_shard = false);
   ~ShardRunner();
 
   ShardRunner(const ShardRunner&) = delete;

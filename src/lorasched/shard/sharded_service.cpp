@@ -30,8 +30,8 @@ HandleFactory local_handles(PolicyFactory factory) {
              const ShardContext& ctx) -> std::unique_ptr<ShardHandle> {
     return std::make_unique<ShardRunner>(
         shard_id, ctx.fleet, std::move(members), ctx.energy, ctx.market,
-        ctx.horizon, factory, ctx.board, ctx.config.inbox_capacity,
-        ctx.config.time_decisions, /*sole_shard=*/ctx.config.shards == 1);
+        ctx.horizon, factory, ctx.board, ctx.config.time_decisions,
+        /*sole_shard=*/ctx.config.shards == 1);
   };
 }
 
@@ -504,13 +504,11 @@ SimResult ShardedService::finish() {
     bool have_ledger = false;
     if (shard->alive()) {
       try {
-        // Snapshot order is node-major, slot-minor — the same accumulation
-        // order as iterating used_compute(k, t), so the sum is bit-equal to
-        // the pre-snapshot formulation.
-        const ShardState state = shard->state();
-        for (const double used : state.ledger.used_compute) {
-          shard_compute += used;
-        }
+        // Only the ledger sum is needed, not the policy dump, so policies
+        // that cannot checkpoint finish too. The order is node-major,
+        // slot-minor — the same as iterating used_compute(k, t).
+        double shard_cap = 0.0;
+        shard->accumulate_utilization(shard_compute, shard_cap);
         have_ledger = true;
       } catch (const ShardUnavailable&) {
         have_ledger = false;

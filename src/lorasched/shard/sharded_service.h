@@ -78,9 +78,6 @@ struct ShardedConfig {
   service::LateBidMode late_bids = service::LateBidMode::kReject;
   /// Record per-task wall-clock decision time (mirrors EngineOptions).
   bool time_decisions = true;
-  /// Capacity of each shard's inbox; sub-batches larger than this still
-  /// work (the runner drains while the leader feeds).
-  std::size_t inbox_capacity = 1024;
   /// Optional cluster trace collector (DESIGN.md §12). Borrowed, not
   /// owned; observation-only — decisions are bit-identical with or
   /// without it. Remote handles stamp its round contexts on their Offer

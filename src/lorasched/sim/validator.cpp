@@ -4,13 +4,24 @@
 #include <stdexcept>
 
 namespace lorasched {
+namespace {
+
+/// Formats a diagnostic. Only failing branches call it, so a valid schedule
+/// builds no stream.
+template <typename... Parts>
+std::string describe(const Parts&... parts) {
+  std::ostringstream why;
+  (why << ... << parts);
+  return why.str();
+}
+
+}  // namespace
 
 std::string validate_schedule(const Task& task, const Schedule& schedule,
                               const Cluster& cluster, Slot horizon) {
-  std::ostringstream why;
   if (schedule.task != task.id) {
-    why << "schedule belongs to task " << schedule.task << ", not " << task.id;
-    return why.str();
+    return describe("schedule belongs to task ", schedule.task, ", not ",
+                    task.id);
   }
   // (4a): a vendor must be chosen iff the task needs pre-processing.
   if (task.needs_prep && schedule.vendor == kNoVendor) {
@@ -27,18 +38,15 @@ std::string validate_schedule(const Task& task, const Schedule& schedule,
       return "assignment on unknown node";
     }
     if (a.slot < start) {
-      why << "slot " << a.slot << " before earliest start " << start
-          << " (4c)";
-      return why.str();
+      return describe("slot ", a.slot, " before earliest start ", start,
+                      " (4c)");
     }
     if (a.slot > task.deadline) {
-      why << "slot " << a.slot << " after deadline " << task.deadline
-          << " (4d)";
-      return why.str();
+      return describe("slot ", a.slot, " after deadline ", task.deadline,
+                      " (4d)");
     }
     if (a.slot >= horizon) {
-      why << "slot " << a.slot << " beyond horizon " << horizon;
-      return why.str();
+      return describe("slot ", a.slot, " beyond horizon ", horizon);
     }
     if (a.slot <= prev) {
       return "more than one node in a single slot (4b)";
@@ -48,9 +56,8 @@ std::string validate_schedule(const Task& task, const Schedule& schedule,
   }
   // (4e): cumulative computation covers M_i.
   if (done + 1e-9 < task.work) {
-    why << "work shortfall: scheduled " << done << " of " << task.work
-        << " samples (4e)";
-    return why.str();
+    return describe("work shortfall: scheduled ", done, " of ", task.work,
+                    " samples (4e)");
   }
   return {};
 }

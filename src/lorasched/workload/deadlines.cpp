@@ -40,7 +40,12 @@ Slot DeadlineModel::draw(const Task& task, const Cluster& cluster, Slot horizon,
   Slot span = static_cast<Slot>(std::ceil(static_cast<double>(base) * factor));
   if (task.needs_prep) span += prep_allowance;
   Slot deadline = task.arrival + std::max<Slot>(1, span);
-  return std::clamp<Slot>(deadline, task.arrival + 1, horizon - 1);
+  // Not std::clamp: for a last-slot arrival lo = horizon > hi = horizon - 1,
+  // which std::clamp leaves undefined. This is libstdc++'s clamp body, so
+  // every other draw is unchanged, and a last-slot arrival gets
+  // deadline == horizon - 1 (== its arrival).
+  return std::min<Slot>(std::max<Slot>(deadline, task.arrival + 1),
+                        horizon - 1);
 }
 
 }  // namespace lorasched

@@ -264,7 +264,6 @@ TEST(Messages, AssignShardRoundTrip) {
   msg.welfare_unit = 0.01;
   msg.share_options = {0.25, 0.5, 1.0};
   msg.time_decisions = false;
-  msg.inbox_capacity = 77;
   const AssignShardMsg back = decode_assign_shard(encode(msg));
   EXPECT_EQ(back.shard_id, msg.shard_id);
   EXPECT_EQ(back.members, msg.members);
@@ -276,7 +275,6 @@ TEST(Messages, AssignShardRoundTrip) {
     EXPECT_EQ(bits(back.share_options[i]), bits(msg.share_options[i]));
   }
   EXPECT_EQ(back.time_decisions, msg.time_decisions);
-  EXPECT_EQ(back.inbox_capacity, msg.inbox_capacity);
 }
 
 TEST(Messages, RoundResultsRoundTrip) {
@@ -675,11 +673,15 @@ void expect_same_metrics(const Metrics& a, const Metrics& b) {
 
 // --- Distributed service: bit-identical to in-process -----------------------
 
-TEST(RemoteService, BitIdenticalToInProcessAtSameK) {
+/// K=1 is the plain online auction (inline in-process, one remote shard);
+/// K=3 spreads three shards over two agents.
+class RemoteServiceParity : public ::testing::TestWithParam<int> {};
+
+TEST_P(RemoteServiceParity, BitIdenticalToInProcessAtSameK) {
   const Instance env = make_instance(lorasched::testing::small_scenario(13));
   const PdftspConfig policy = pdftsp_config_for(env);
   shard::ShardedConfig config;
-  config.shards = 3;
+  config.shards = GetParam();
   config.time_decisions = false;
 
   shard::ShardedService local(env, shard::make_pdftsp_factory(policy),
@@ -718,6 +720,8 @@ TEST(RemoteService, BitIdenticalToInProcessAtSameK) {
   agent_a->wait();
   agent_b->wait();
 }
+
+INSTANTIATE_TEST_SUITE_P(Shards, RemoteServiceParity, ::testing::Values(1, 3));
 
 // --- Distributed service: failure paths -------------------------------------
 

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "lorasched/baselines/eft.h"
 #include "lorasched/cluster/capacity_ledger.h"
 #include "lorasched/core/online_params.h"
 #include "lorasched/core/pdftsp.h"
@@ -347,6 +348,36 @@ TEST(ShardedService, SingleShardMatchesMonolithicExactly) {
   ASSERT_EQ(expected.schedules.size(), actual.schedules.size());
   for (std::size_t i = 0; i < expected.schedules.size(); ++i) {
     EXPECT_EQ(expected.schedules[i].run, actual.schedules[i].run);
+  }
+}
+
+/// finish() checks ledger conservation from the ledger sum alone, so a
+/// policy without checkpointable state (a baseline) finishes at any K; at
+/// K=1 it still matches run_simulation.
+TEST(ShardedService, FinishNeedsNoCheckpointablePolicy) {
+  const Instance instance = make_instance(testing::small_scenario(11));
+  const PolicyFactory eft = [](const Cluster&, const EnergyModel&,
+                               Slot) -> std::unique_ptr<Policy> {
+    return std::make_unique<EftPolicy>();
+  };
+  EftPolicy sim_policy;
+  const SimResult expected = run_simulation(instance, sim_policy);
+
+  for (const int shards : {1, 2}) {
+    SCOPED_TRACE(shards);
+    ShardedConfig sharded;
+    sharded.shards = shards;
+    ShardedService service(instance, eft, sharded);
+    serve_instance(service, instance);
+    SimResult actual;
+    ASSERT_NO_THROW(actual = service.finish());
+    EXPECT_EQ(actual.metrics.admitted + actual.metrics.rejected,
+              static_cast<int>(instance.tasks.size()));
+    EXPECT_GT(actual.metrics.admitted, 0);
+    if (shards == 1) {
+      expect_same_outcomes(expected.outcomes, actual.outcomes);
+      expect_same_metrics(expected.metrics, actual.metrics);
+    }
   }
 }
 

@@ -173,6 +173,17 @@ TEST(DeadlineModel, DeadlineAlwaysAfterArrivalWithinHorizon) {
   }
 }
 
+TEST(DeadlineModel, LastSlotArrivalGetsTheLastSlotAsDeadline) {
+  const Cluster cluster = testing::mini_cluster();
+  util::Rng rng(5);
+  for (const DeadlineKind kind :
+       {DeadlineKind::kTight, DeadlineKind::kMedium, DeadlineKind::kSlack}) {
+    const DeadlineModel model{kind};
+    const Task task = testing::make_task(0, 47, 0, 5000.0, 2.0, 0.25);
+    EXPECT_EQ(model.draw(task, cluster, 48, rng), 47);
+  }
+}
+
 TEST(DeadlineModel, MinRuntimeUsesFastestNode) {
   const Cluster cluster = testing::hetero_cluster();  // fast node: 2000/slot
   const Task task = testing::make_task(0, 0, 0, 3000.0, 2.0, 0.5);
